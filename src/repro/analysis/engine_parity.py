@@ -1,26 +1,23 @@
-"""engine-parity-lint: the SoA engine mirrors the object engine.
+"""engine-parity-lint: the ``cext`` engine mirrors the object engine.
 
-The struct-of-arrays backend (``soa.py``) re-implements the object
-engine's hot methods and must stay *architecturally identical* — the
-34-cell golden matrix pins the numbers, but only for the policies and
-stats it samples.  This checker pins the structural contract directly:
+The compiled backend (``cext.py`` plus ``_cext_engine.c``) re-implements
+the object engine's cycle body over struct-of-arrays columns and must
+stay *architecturally identical* — the 34-cell golden matrix pins the
+numbers, but only for the policies and stats it samples.  This checker
+pins the structural contract directly:
 
-1. **Hook parity** — the set of policy hooks the two files invoke
-   (``self.policy.on_X`` reads plus the ``_policy_*`` elision
-   attributes bound in ``SMTCore.__init__``) must be equal.  A hook
-   called by one engine and not the other means one backend silently
-   ignores a whole policy mechanism.
-2. **Stat parity** — the set of golden-relevant stat fields written by
-   the methods ``soa.py`` replaces must equal the set written anywhere
-   in ``soa.py``.  (Fields written only by *inherited* methods —
-   ``advance_to``'s cycle refresh, stall settlement — are shared code
-   and out of scope by construction.)  The replaced-method set is read
-   from the SoA class body itself: the ``NotImplementedError`` guard
-   stubs make it self-describing.
-3. **Column coverage** — every ``DynInstr`` ``__slots__`` entry must map
+1. **Hook parity** — the set of policy hooks ``cext.py`` and the C
+   source reach (``self.policy.on_X`` reads, the ``_policy_*`` elision
+   attributes bound in ``SMTCore.__init__``, and the hook names the C
+   interns or resolves by name) must equal the set ``core.py`` invokes.
+   A hook called by one engine and not the other means one backend
+   silently ignores a whole policy mechanism.
+2. **Column coverage** — every ``DynInstr`` ``__slots__`` entry must map
    to a ``SoAView`` accessor: an explicit property, a ``_col_*`` column
-   property from the generation loop, or a packed flag bit.  A new
-   DynInstr field without a column is invisible to the SoA engine.
+   property from the generation loop, or a packed flag bit; and every
+   ``_col_*`` column the view reads must be a ``CextCore`` slot in
+   ``cext.py``.  A DynInstr field without a column is invisible to the
+   ``cext`` engine's policies.
 """
 
 from __future__ import annotations
@@ -87,66 +84,17 @@ def _hooks_used_c(text: str) -> set[str]:
     return used
 
 
-def _stat_fields(stats_tree: ast.Module) -> set[str]:
-    """All dataclass field names of stats.py (the stat universe)."""
-    fields: set[str] = set()
-    for node in ast.walk(stats_tree):
-        if isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    fields.add(stmt.target.id)
-    return fields
-
-
-def _stat_writes(func: ast.AST, universe: set[str]) -> set[str]:
-    """Stat fields stored under ``func``, with local alias tracking.
-
-    Catches both direct ``<expr>.stats.X = ...`` stores and the hot-path
-    idiom ``st = ts.stats; st.X += 1`` (any local assigned from an
-    expression ending in ``.stats``).
+def _soa_view_accessors(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every attribute name SoAView exposes (explicit + generated), and
+    every ``_col_*`` core column the module reads (attribute or string).
     """
-    aliases: set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            tgt, val = node.targets[0], node.value
-            name = dotted_name(val)
-            if (isinstance(tgt, ast.Name) and name is not None
-                    and (name == "stats" or name.endswith(".stats"))):
-                aliases.add(tgt.id)
-
-    written: set[str] = set()
-    for node in ast.walk(func):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for tgt in targets:
-            if not isinstance(tgt, ast.Attribute) or tgt.attr not in universe:
-                continue
-            base = tgt.value
-            base_name = dotted_name(base)
-            if base_name is not None and (
-                    base_name in aliases or base_name == "stats"
-                    or base_name.endswith(".stats")):
-                written.add(tgt.attr)
-    return written
-
-
-def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    """Method name -> def node, over every class in the module."""
-    out: dict[str, ast.FunctionDef] = {}
+    columns: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out[stmt.name] = stmt
-    return out
-
-
-def _soa_view_accessors(tree: ast.Module) -> set[str]:
-    """Every attribute name SoAView exposes (explicit + generated)."""
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_col_"):
+            columns.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("_col_")):
+            columns.add(node.value)
     names: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == "SoAView":
@@ -174,12 +122,13 @@ def _soa_view_accessors(tree: ast.Module) -> set[str]:
                         and isinstance(elt.elts[0], ast.Constant)
                         and isinstance(elt.elts[0].value, str)):
                     names.add(elt.elts[0].value)
-    return names
+    return names, columns
 
 
-def _dyninstr_slots(tree: ast.Module) -> list[str]:
+def _class_slots(tree: ast.Module, cls: str) -> list[str]:
+    """The string entries of ``cls.__slots__``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "DynInstr":
+        if isinstance(node, ast.ClassDef) and node.name == cls:
             for stmt in node.body:
                 if (isinstance(stmt, ast.Assign)
                         and any(isinstance(t, ast.Name)
@@ -190,83 +139,45 @@ def _dyninstr_slots(tree: ast.Module) -> list[str]:
 
 
 def check(core_path: Path | None = None,
-          soa_path: Path | None = None,
           dyninstr_path: Path | None = None,
-          stats_path: Path | None = None,
           cext_path: Path | None = None,
           cext_c_path: Path | None = None) -> list[Finding]:
     """Run engine-parity-lint (default: the real pipeline modules)."""
     core_path = core_path or _PIPELINE / "core.py"
-    soa_path = soa_path or _PIPELINE / "soa.py"
     dyninstr_path = dyninstr_path or _PIPELINE / "dyninstr.py"
-    stats_path = stats_path or _PIPELINE / "stats.py"
     cext_path = cext_path or _PIPELINE / "cext.py"
     cext_c_path = cext_c_path or _PIPELINE / "_cext_engine.c"
-    core_tree = parse_file(core_path)
-    soa_tree = parse_file(soa_path)
+    cext_tree = parse_file(cext_path)
     findings: list[Finding] = []
 
-    # 1. hook parity
-    core_hooks = _hooks_used(core_tree)
-    soa_hooks = _hooks_used(soa_tree)
-    for hook in sorted(core_hooks - soa_hooks):
+    # 1. hook parity: the cext driver (the elision markers it caches and
+    # the hooks flush_thread reaches) plus the C engine (every
+    # offset-table/interned call site) against the object engine.
+    core_hooks = _hooks_used(parse_file(core_path))
+    cext_hooks = (_hooks_used(cext_tree)
+                  | _hooks_used_c(cext_c_path.read_text()))
+    for hook in sorted(core_hooks - cext_hooks):
         findings.append(Finding(
-            CHECKER, rel(soa_path), 1,
-            f"policy hook {hook!r} is invoked by {rel(core_path)} but "
-            f"never by the SoA engine"))
-    for hook in sorted(soa_hooks - core_hooks):
-        findings.append(Finding(
-            CHECKER, rel(core_path), 1,
-            f"policy hook {hook!r} is invoked by {rel(soa_path)} but "
-            f"never by the object engine"))
-
-    # 1b. hook parity for the compiled backend: the cext driver + the C
-    # engine together must reach exactly the hooks the object engine
-    # does.  (The driver's Python side contributes the elision markers
-    # it caches; the C side contributes every offset-table/interned
-    # call site.)
-    if cext_path.exists() and cext_c_path.exists():
-        cext_hooks = (_hooks_used(parse_file(cext_path))
-                      | _hooks_used_c(cext_c_path.read_text()))
-        for hook in sorted(core_hooks - cext_hooks):
-            findings.append(Finding(
-                CHECKER, rel(cext_c_path), 1,
-                f"policy hook {hook!r} is invoked by {rel(core_path)} "
-                f"but never by the cext backend"))
-        for hook in sorted(cext_hooks - core_hooks):
-            findings.append(Finding(
-                CHECKER, rel(core_path), 1,
-                f"policy hook {hook!r} is invoked by the cext backend "
-                f"but never by the object engine"))
-
-    # 2. stat-write parity over the replaced methods
-    universe = _stat_fields(parse_file(stats_path))
-    core_methods = _methods(core_tree)
-    replaced = set(_methods(soa_tree))
-    required: set[str] = set()
-    for name in replaced & set(core_methods):
-        required |= _stat_writes(core_methods[name], universe)
-    actual: set[str] = set()
-    for func in _methods(soa_tree).values():
-        actual |= _stat_writes(func, universe)
-    for fld in sorted(required - actual):
-        findings.append(Finding(
-            CHECKER, rel(soa_path), 1,
-            f"stat field {fld!r} is written by an object-engine method "
-            f"the SoA engine replaces, but never by the SoA engine"))
-    for fld in sorted(actual - required):
+            CHECKER, rel(cext_c_path), 1,
+            f"policy hook {hook!r} is invoked by {rel(core_path)} "
+            f"but never by the cext backend"))
+    for hook in sorted(cext_hooks - core_hooks):
         findings.append(Finding(
             CHECKER, rel(core_path), 1,
-            f"stat field {fld!r} is written by the SoA engine but not "
-            f"by the object-engine methods it replaces"))
+            f"policy hook {hook!r} is invoked by the cext backend "
+            f"but never by the object engine"))
 
-    # 3. DynInstr slot -> SoAView accessor coverage
+    # 2. DynInstr slot -> SoAView accessor -> CextCore column coverage
     dyn_tree = parse_file(dyninstr_path)
-    accessors = _soa_view_accessors(dyn_tree)
-    for slot in _dyninstr_slots(dyn_tree):
+    accessors, columns = _soa_view_accessors(dyn_tree)
+    for slot in _class_slots(dyn_tree, "DynInstr"):
         if slot not in accessors:
             findings.append(Finding(
                 CHECKER, rel(dyninstr_path), 1,
                 f"DynInstr slot {slot!r} has no SoAView accessor "
                 f"(column property, flag bit, or explicit property)"))
+    for col in sorted(columns - set(_class_slots(cext_tree, "CextCore"))):
+        findings.append(Finding(
+            CHECKER, rel(cext_path), 1,
+            f"SoAView column {col!r} is not a CextCore slot"))
     return findings

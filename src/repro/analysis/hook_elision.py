@@ -33,7 +33,7 @@ CHECKER = "hook-elision-lint"
 
 _BASE = SRC_ROOT / "repro" / "policies" / "base.py"
 _ENGINES = (SRC_ROOT / "repro" / "pipeline" / "core.py",
-            SRC_ROOT / "repro" / "pipeline" / "soa.py")
+            SRC_ROOT / "repro" / "pipeline" / "cext.py")
 
 #: The policy base class whose defaults define the elision table.
 BASE_CLASS = "FetchPolicy"

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 from pathlib import Path
+import sys
 
 from repro import registry
 from repro.experiments import (
@@ -387,15 +388,27 @@ def cmd_jobs_cache_clear(_args) -> int:
     return 0
 
 
+def _require_backend(cmd: str, name: str) -> None:
+    """Exit 2 with the registry's "unknown backend" message.
+
+    ``object`` is always registered; skipping the lookup for it keeps
+    object-only commands from probing (and maybe building) ``cext``.
+    """
+    if name == "object":
+        return
+    try:
+        registry.backends.get(name)
+    except registry.RegistryError as exc:
+        print(f"{cmd}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _perf_suite(args):
     import json as _json
 
     from repro import perf
 
-    if args.backend != "object" and args.backend not in registry.backends:
-        raise SystemExit(
-            f"perf: unknown backend {args.backend!r}; "
-            f"see `python -m repro list backends`")
+    _require_backend(f"perf {args.perf_command}", args.backend)
     suite = perf.run_suite(repeats=args.repeat, quick=args.quick,
                            backend=args.backend,
                            progress=None if args.json else print)
@@ -496,10 +509,7 @@ def cmd_perf_compare(args) -> int:
 def cmd_perf_profile(args) -> int:
     from repro import perf
 
-    if args.backend != "object" and args.backend not in registry.backends:
-        raise SystemExit(
-            f"perf profile: unknown backend {args.backend!r}; "
-            f"see `python -m repro list backends`")
+    _require_backend("perf profile", args.backend)
     try:
         report = perf.profile_scenario(args.scenario, top=args.top,
                                        sort=args.sort, quick=args.quick,
@@ -523,10 +533,7 @@ def cmd_perf_duel(args) -> int:
             f"perf duel: --backends takes exactly two comma-separated "
             f"names, got {args.backends!r}")
     for backend in names:
-        if backend not in registry.backends:
-            raise SystemExit(
-                f"perf duel: unknown backend {backend!r}; "
-                f"see `python -m repro list backends`")
+        _require_backend("perf duel", backend)
     try:
         sc = perf.scenario_by_name(args.scenario)
     except KeyError:

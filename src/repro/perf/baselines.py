@@ -79,7 +79,7 @@ def mode_name(quick: bool, backend: str = "object") -> str:
     """The baseline ``modes`` key for one (quick, backend) combination.
 
     The object engine keeps the historical bare ``full`` / ``quick``
-    keys; other backends get a ``-<backend>`` suffix (``full-soa``), so
+    keys; other backends get a ``-<backend>`` suffix (``full-cext``), so
     one document can hold every combination side by side and old
     baselines stay valid under the current schema.
     """

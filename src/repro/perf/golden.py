@@ -24,11 +24,12 @@ The fixture is backend-independent: every selectable engine core must
 reproduce it bit for bit, so it is always *regenerated* with the default
 object engine and *checked* against any backend::
 
-    python -m repro.perf.golden --check --backend soa
+    python -m repro.perf.golden --check --backend cext
 
 ``--check`` simulates every cell and compares against the committed
-fixture without writing anything (exit 1 on any mismatch) — the CI leg
-that holds the SoA engine to the cycle-exactness contract.
+fixture without writing anything (exit 1 on any mismatch, exit 2 for an
+unknown backend) — the CI leg that holds the compiled engine to the
+cycle-exactness contract.
 """
 
 from __future__ import annotations
@@ -202,6 +203,13 @@ def main(argv: list[str] | None = None) -> int:
             print("--backend requires a value", file=sys.stderr)
             return 2
         del argv[i:i + 2]
+    if backend != "object":
+        from repro import registry
+        try:
+            registry.backends.get(backend)
+        except registry.RegistryError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     max_threads: int | None = None
     if "--max-threads" in argv:
         i = argv.index("--max-threads")

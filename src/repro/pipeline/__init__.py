@@ -2,13 +2,14 @@
 
 Two interchangeable engine cores implement the same pipeline:
 :class:`SMTCore` keeps one :class:`DynInstr` object per in-flight
-instruction, while :class:`SoACore` keeps the same state as parallel
-flat arrays indexed by pool slot (struct-of-arrays).  They are
-bit-identical architecturally — the golden-stats matrix pins every
-policy under both — and are selected per run through the ``backends``
-registry (see :mod:`repro.registry` and ``RunSpec.backend``).
+instruction, while :class:`CextCore` keeps the same state as parallel
+flat arrays indexed by pool slot (struct-of-arrays) and runs the cycle
+body in a lazily compiled C extension.  They are bit-identical
+architecturally — the golden-stats matrix pins every policy under both
+— and are selected per run through the ``backends`` registry (see
+:mod:`repro.registry` and ``RunSpec.backend``).
 
-``SoACore`` is re-exported lazily: importing the package must not pay
+``CextCore`` is re-exported lazily: importing the package must not pay
 for the second engine unless it is actually used.
 """
 
@@ -17,13 +18,13 @@ from repro.pipeline.dyninstr import DynInstr
 from repro.pipeline.stats import CoreStats, ThreadStats
 from repro.pipeline.thread_state import ThreadState
 
-__all__ = ["CoreStats", "DynInstr", "SMTCore", "SoACore", "ThreadState",
+__all__ = ["CextCore", "CoreStats", "DynInstr", "SMTCore", "ThreadState",
            "ThreadStats"]
 
 
 def __getattr__(name):
-    if name == "SoACore":
-        from repro.pipeline.soa import SoACore
-        return SoACore
+    if name == "CextCore":
+        from repro.pipeline.cext import CextCore
+        return CextCore
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}")

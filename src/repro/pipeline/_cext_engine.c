@@ -1,18 +1,17 @@
 /* _cext_engine: the compiled `cext` engine backend's fused run loop.
  *
- * This is a line-for-line transliteration of SoACore's hot bodies
- * (repro/pipeline/soa.py: _run_until, the inline event drains, _commit,
- * _issue, _dispatch, _fetch_thread) onto the *same* Python-object state:
- * the SoA column lists, the event wheels, the ready heaps and the
- * ThreadState slots stay the single source of truth, and this module
- * reads/writes them through the C API at exactly the program points the
- * Python loop does.  That is what makes the backend bit-exact by
- * construction (the golden matrix pins it), lets policy hooks and
- * flush_thread re-enter the Python engine mid-stage, and lets any stage
- * fall back to its Python body (REPRO_CEXT_STAGES) without state
- * conversion.
+ * The cycle body of the object engine (repro/pipeline/core.py: the fused
+ * _run_until loop, the event drains, _commit, _issue, _dispatch,
+ * _fetch_thread) re-expressed over CextCore's struct-of-arrays state
+ * (repro/pipeline/cext.py): the column lists, the event wheels, the
+ * ready heaps and the ThreadState slots stay ordinary Python objects and
+ * the single source of truth, and this module reads/writes them through
+ * the C API.  Policy hooks and CextCore.flush_thread re-enter Python
+ * mid-stage on exactly that state; the golden matrix pins the result
+ * bit-exact to the object engine, and REPRO_SANITIZE=1 drives this loop
+ * in per-commit chunks with the arena checks in between.
  *
- * Keep in sync with soa.py; engine-parity-lint checks that the policy
+ * Keep in sync with core.py; engine-parity-lint checks that the policy
  * hook call sites here match core.py's set.
  */
 #define PY_SSIZE_T_CLEAN
@@ -20,7 +19,7 @@
 #include <structmember.h>
 #include <string.h>
 
-#define CEXT_API_VERSION 1
+#define CEXT_API_VERSION 2
 
 /* Flag bits: must mirror repro/pipeline/dyninstr.py (verified in setup). */
 #define F_IN_IQ (1 << 0)
@@ -48,13 +47,6 @@
 #define SLOT_SHIFT 20
 #define SLOT_MASK ((1LL << SLOT_SHIFT) - 1)
 
-/* Per-stage enable bits (REPRO_CEXT_STAGES; mirrored in cext.py). */
-#define ST_DRAIN 1
-#define ST_COMMIT 2
-#define ST_ISSUE 4
-#define ST_DISPATCH 8
-#define ST_FETCH 16
-
 #define SMALL_INT_LIMIT 65536
 #define MAX_THREADS 256
 #define MAX_SRCS 64
@@ -71,7 +63,6 @@ typedef struct {
     Py_ssize_t wb_buckets, wb_marks, wb_over, wb_used;
     Py_ssize_t ready_int, ready_ldst, ready_fp, ready_by_op;
     Py_ssize_t threads, policy, stats;
-    Py_ssize_t commit_stage, dispatch_stage, issue_stage;
     Py_ssize_t policy_fetch_order, policy_fetch_pending,
         policy_can_dispatch, policy_on_fetch, policy_on_fetch_load,
         policy_on_load_complete, policy_on_resource_stall;
@@ -136,8 +127,7 @@ typedef struct {
     /* interned strings for the non-slot attribute calls */
     PyObject *s_append, *s_popleft, *s_update, *s_lookup, *s_insert,
         *s_train, *s_on_ll_detect, *s_soa_grow, *s_next_cycle,
-        *s_compute_fetch_wake, *s_sync_policy_stall, *s_soa_drain_events,
-        *s_fetch_thread;
+        *s_sync_policy_stall;
 } Globals;
 
 static Globals g;
@@ -430,12 +420,11 @@ static PyObject *ensure_view(PyObject *core, PyObject *col_views,
 }
 
 /* ------------------------------------------------------------------ */
-/* run context (SoACore._run_until's hoisted locals)                   */
+/* run context (the fused loop's hoisted locals)                       */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
     PyObject *core;
-    long long stage_mask;
     /* hoisted, identity-stable objects (borrowed from slots) */
     PyObject *ev_buckets, *ev_marks, *ev_over;
     PyObject *dt_buckets, *dt_marks, *dt_over;
@@ -465,7 +454,7 @@ typedef struct {
 /* ------------------------------------------------------------------ */
 
 /* Append `packed` to buckets[when & mask], arming the mark heap when
- * the bucket was empty — the in-horizon push in soa.py's hot bodies. */
+ * the bucket was empty — the in-horizon wheel push. */
 static int wheel_push(PyObject *buckets, PyObject *marks, long long mask,
                       long long when, PyObject *packed)
 {
@@ -556,7 +545,7 @@ static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
             && heap_min_key(c->ev_over) <= cycle);
     PyObject *on_load_complete = SLOT(core, OFF.policy_on_load_complete);
     if (due) {
-        /* completion loop — keep in sync with soa.py */
+        /* completion loop — keep in sync with core.py */
         if (bucket == Py_None) {
             PyObject *nb = PyList_New(0);
             if (nb == NULL)
@@ -867,7 +856,7 @@ static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
 /* ------------------------------------------------------------------ */
 
 /* Try to free slot `p` after its ref count hit zero at retire time
- * (the parents / old_map decrement paths of SoACore._commit). */
+ * (the parents / old_map decrement paths of the commit stage). */
 static int commit_try_free(Ctx *c, long long p, PyObject *ll_owners)
 {
     long long pfl = lget_ll(c->col_flags, p);
@@ -1163,7 +1152,7 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
 }
 
 /* ------------------------------------------------------------------ */
-/* stage: issue (with _execute's two branches inlined, like SoACore)   */
+/* stage: issue (with _execute's two branches inlined)                 */
 /* ------------------------------------------------------------------ */
 
 /* The int/fp queues share one body: dequeue bookkeeping plus a fixed
@@ -1442,7 +1431,7 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             }
         }
     }
-    /* lazily hoisted used counters (soa.py's `hoisted` block) */
+    /* lazily hoisted used counters */
     int hoisted = 0;
     long long rob_used = 0, lsq_used = 0, iq_used = 0, fq_used = 0,
         int_regs_used = 0, fp_regs_used = 0;
@@ -1772,7 +1761,7 @@ static long long instr_flags_c(PyObject *instr)
     return flags;
 }
 
-/* SoACore._fetch_thread; returns the fetch count, or -1 on error. */
+/* One thread's fetch burst; returns the fetch count, or -1 on error. */
 static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                                 long long cycle, PyObject *cycle_obj,
                                 int ignore_stall)
@@ -1872,7 +1861,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         if (PyList_SetSlice(c->free_list, fn - 1, fn, NULL) < 0)
             goto fail_instr;
         /* the popped slot is pristine: only the varying columns are
-         * written (see the free-list invariant in SoACore.__init__) */
+         * written (see the free-list invariant in CextCore.__init__) */
         Py_INCREF(instr);
         lset(c->col_instr, s, instr);
         if (lset_ll(c->col_thread, s, tid) < 0
@@ -2044,7 +2033,7 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* the fused run loop (SoACore._run_until's while True body)           */
+/* the fused run loop                                                  */
 /* ------------------------------------------------------------------ */
 
 /* SMTCore._compute_fetch_wake, transliterated. */
@@ -2059,28 +2048,6 @@ static long long compute_fetch_wake(Ctx *c, long long cycle)
             wake = blocked_until;
     }
     return wake;
-}
-
-/* One thread's burst, via C or the Python fallback per the stage mask. */
-static long long do_fetch(Ctx *c, PyObject *ts, long long budget,
-                          long long cycle, PyObject *cycle_obj,
-                          int ignore_stall)
-{
-    if (c->stage_mask & ST_FETCH)
-        return fetch_thread_c(c, ts, budget, cycle, cycle_obj,
-                              ignore_stall);
-    PyObject *b = box_ll(budget);
-    if (b == NULL)
-        return -1;
-    PyObject *args[4] = {ts, b, cycle_obj,
-                         ignore_stall ? Py_True : Py_False};
-    PyObject *r = call_method(c->core, g.s_fetch_thread, args, 4);
-    Py_DECREF(b);
-    if (r == NULL)
-        return -1;
-    long long n = ll_of(r);
-    Py_DECREF(r);
-    return n;
 }
 
 /* The ``policy_fetch_order(cycle)`` fetch path (shared by the base
@@ -2116,7 +2083,7 @@ static int fetch_via_policy_order(Ctx *c, long long cycle,
             int ignore_stall = PyObject_IsTrue(seq_item(pair, 1));
             if (ignore_stall < 0)
                 goto fail;
-            long long cnt = do_fetch(c, ts, budget, cycle, cycle_obj,
+            long long cnt = fetch_thread_c(c, ts, budget, cycle, cycle_obj,
                                      ignore_stall);
             if (cnt < 0)
                 goto fail;
@@ -2171,7 +2138,7 @@ static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
             return slot_store_ll(c->core, OFF.fetch_wake,
                                  compute_fetch_wake(c, cycle));
         if (c->can_fetch_one
-            && do_fetch(c, first, c->fetch_width, cycle, cycle_obj,
+            && fetch_thread_c(c, first, c->fetch_width, cycle, cycle_obj,
                         0) < 0)
             return -1;
         return 0;
@@ -2197,7 +2164,7 @@ static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
         if (remaining_threads == 0 || budget == 0)
             break;
         remaining_threads -= 1;
-        long long cnt = do_fetch(c, rest[i], budget, cycle, cycle_obj, 0);
+        long long cnt = fetch_thread_c(c, rest[i], budget, cycle, cycle_obj, 0);
         if (cnt < 0)
             return -1;
         budget -= cnt;
@@ -2205,11 +2172,10 @@ static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
     return 0;
 }
 
-static int ctx_init(Ctx *c, PyObject *core, long long stage_mask)
+static int ctx_init(Ctx *c, PyObject *core)
 {
     memset(c, 0, sizeof(*c));
     c->core = core;
-    c->stage_mask = stage_mask;
     c->ev_buckets = SLOT(core, OFF.ev_buckets);
     c->ev_marks = SLOT(core, OFF.ev_marks);
     c->ev_over = SLOT(core, OFF.ev_over);
@@ -2292,20 +2258,19 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
                         "_cext_engine.setup() has not run");
         return NULL;
     }
-    if (nargs != 4) {
+    if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "run_until(core, max_commits, limit, stage_mask)");
+                        "run_until(core, max_commits, limit)");
         return NULL;
     }
     PyObject *core = args[0];
     long long max_commits = PyLong_AsLongLong(args[1]);
     long long limit = PyLong_AsLongLong(args[2]);
-    long long stage_mask = PyLong_AsLongLong(args[3]);
     if (PyErr_Occurred())
         return NULL;
     Ctx ctx;
     Ctx *c = &ctx;
-    if (ctx_init(c, core, stage_mask) < 0)
+    if (ctx_init(c, core) < 0)
         return NULL;
     unsigned long loop_n = 0;
     for (;;) {
@@ -2315,18 +2280,9 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
         PyObject *cycle_obj = SLOT(core, OFF.cycle);
         Py_INCREF(cycle_obj);
         /* completion + detection drains */
-        if (stage_mask & ST_DRAIN) {
-            if (stage_drain(c, cycle, cycle_obj) < 0)
-                goto fail_cycle;
-        } else {
-            PyObject *dargs[1] = {cycle_obj};
-            PyObject *r = call_method(core, g.s_soa_drain_events,
-                                      dargs, 1);
-            if (r == NULL)
-                goto fail_cycle;
-            Py_DECREF(r);
-        }
-        /* write-buffer drain (always in C; step() inlines it too) */
+        if (stage_drain(c, cycle, cycle_obj) < 0)
+            goto fail_cycle;
+        /* write-buffer drain */
         {
             Py_ssize_t widx = (Py_ssize_t)(cycle & c->mask);
             long long wcnt = lget_ll(c->wb_buckets, widx);
@@ -2348,33 +2304,15 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
             }
         }
         /* commit */
-        if (SLOT(core, OFF.commit_pending) == Py_True) {
-            if (stage_mask & ST_COMMIT) {
-                if (stage_commit(c, cycle, cycle_obj) < 0)
-                    goto fail_cycle;
-            } else {
-                PyObject *r = PyObject_CallOneArg(
-                    SLOT(core, OFF.commit_stage), cycle_obj);
-                if (r == NULL)
-                    goto fail_cycle;
-                Py_DECREF(r);
-            }
-        }
+        if (SLOT(core, OFF.commit_pending) == Py_True
+            && stage_commit(c, cycle, cycle_obj) < 0)
+            goto fail_cycle;
         /* issue */
-        if (PyList_GET_SIZE(c->ready_int) > 0
-            || PyList_GET_SIZE(c->ready_ldst) > 0
-            || PyList_GET_SIZE(c->ready_fp) > 0) {
-            if (stage_mask & ST_ISSUE) {
-                if (stage_issue(c, cycle, cycle_obj) < 0)
-                    goto fail_cycle;
-            } else {
-                PyObject *r = PyObject_CallOneArg(
-                    SLOT(core, OFF.issue_stage), cycle_obj);
-                if (r == NULL)
-                    goto fail_cycle;
-                Py_DECREF(r);
-            }
-        }
+        if ((PyList_GET_SIZE(c->ready_int) > 0
+             || PyList_GET_SIZE(c->ready_ldst) > 0
+             || PyList_GET_SIZE(c->ready_fp) > 0)
+            && stage_issue(c, cycle, cycle_obj) < 0)
+            goto fail_cycle;
         /* dispatch */
         if (cycle >= slot_ll(core, OFF.dispatch_wake)) {
             if (cycle < slot_ll(core, OFF.stall_latch_until)
@@ -2383,15 +2321,8 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
                 if (stat_add(SLOT(core, OFF.stats),
                              OFF.cs_resource_stall_cycles, 1) < 0)
                     goto fail_cycle;
-            } else if (stage_mask & ST_DISPATCH) {
-                if (stage_dispatch(c, cycle, cycle_obj) < 0)
-                    goto fail_cycle;
-            } else {
-                PyObject *r = PyObject_CallOneArg(
-                    SLOT(core, OFF.dispatch_stage), cycle_obj);
-                if (r == NULL)
-                    goto fail_cycle;
-                Py_DECREF(r);
+            } else if (stage_dispatch(c, cycle, cycle_obj) < 0) {
+                goto fail_cycle;
             }
         }
         /* fetch */
@@ -2510,9 +2441,6 @@ static const struct OffSpec SPECS[] = {
     O("core", "_ready_fp", ready_fp), O("core", "_ready_by_op", ready_by_op),
     O("core", "threads", threads), O("core", "policy", policy),
     O("core", "stats", stats),
-    O("core", "_commit_stage", commit_stage),
-    O("core", "_dispatch_stage", dispatch_stage),
-    O("core", "_issue_stage", issue_stage),
     O("core", "_policy_fetch_order", policy_fetch_order),
     O("core", "_policy_fetch_pending", policy_fetch_pending),
     O("core", "_policy_can_dispatch", policy_can_dispatch),
@@ -2736,14 +2664,8 @@ static PyObject *setup(PyObject *self, PyObject *ns)
                     intern_or_null("on_ll_detect")) == NULL
             || (g.s_soa_grow = intern_or_null("_soa_grow")) == NULL
             || (g.s_next_cycle = intern_or_null("_next_cycle")) == NULL
-            || (g.s_compute_fetch_wake =
-                    intern_or_null("_compute_fetch_wake")) == NULL
             || (g.s_sync_policy_stall =
-                    intern_or_null("_sync_policy_stall")) == NULL
-            || (g.s_soa_drain_events =
-                    intern_or_null("_soa_drain_events")) == NULL
-            || (g.s_fetch_thread =
-                    intern_or_null("_fetch_thread")) == NULL)
+                    intern_or_null("_sync_policy_stall")) == NULL)
             return NULL;
     }
     g.ready = 1;
@@ -2758,14 +2680,14 @@ static PyMethodDef cext_methods[] = {
     {"setup", setup, METH_O,
      "Resolve slot offsets and constants from the driver's class table."},
     {"run_until", (PyCFunction)(void (*)(void))run_until, METH_FASTCALL,
-     "run_until(core, max_commits, limit, stage_mask) -> None"},
+     "run_until(core, max_commits, limit) -> None"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef cext_module = {
     PyModuleDef_HEAD_INIT,
     "repro.pipeline._cext_engine",
-    "Compiled stage bodies for the SoA engine (see cext.py).",
+    "Compiled cycle loop of the cext engine (see cext.py).",
     -1,
     cext_methods,
     NULL, NULL, NULL, NULL,
@@ -2776,16 +2698,7 @@ PyMODINIT_FUNC PyInit__cext_engine(void)
     PyObject *m = PyModule_Create(&cext_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0
-        || PyModule_AddIntConstant(m, "ST_DRAIN", ST_DRAIN) < 0
-        || PyModule_AddIntConstant(m, "ST_COMMIT", ST_COMMIT) < 0
-        || PyModule_AddIntConstant(m, "ST_ISSUE", ST_ISSUE) < 0
-        || PyModule_AddIntConstant(m, "ST_DISPATCH", ST_DISPATCH) < 0
-        || PyModule_AddIntConstant(m, "ST_FETCH", ST_FETCH) < 0
-        || PyModule_AddIntConstant(
-               m, "ALL_STAGES",
-               ST_DRAIN | ST_COMMIT | ST_ISSUE | ST_DISPATCH
-                   | ST_FETCH) < 0) {
+    if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0) {
         Py_DECREF(m);
         return NULL;
     }

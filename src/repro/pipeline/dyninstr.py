@@ -5,14 +5,14 @@ Two representations share this module:
 * :class:`DynInstr` — the classic one-object-per-instruction record used
   by the ``object`` engine backend (and by :class:`repro.runahead.core.
   RunaheadCore`, which subclasses the object engine's commit machinery).
-* The **struct-of-arrays column schema** used by the ``soa`` backend
-  (:class:`repro.pipeline.soa.SoACore`): every ``DynInstr`` field becomes
+* The **struct-of-arrays column schema** used by the ``cext`` backend
+  (:class:`repro.pipeline.cext.CextCore`): every ``DynInstr`` field becomes
   a flat per-slot column, the eleven booleans collapse into one integer
   ``flags`` word (bit layout below), and cross-record references become
   slot indices.  :class:`SoAView` is the thin per-slot proxy handed to
   policies and hooks so the policy surface never sees a raw slot number.
 
-Heap and event-wheel entries in the SoA engine are *packed* ints,
+Heap and event-wheel entries in the cext engine are *packed* ints,
 ``(gseq << SLOT_SHIFT) | slot``: the global age stamp in the high bits
 makes plain integer comparison reproduce oldest-first ordering (``gseq``
 is unique per dynamic instruction), and the embedded stamp doubles as a
@@ -211,7 +211,7 @@ class SoAView:
     """Read/write proxy presenting one SoA arena slot as a ``DynInstr``.
 
     Views are created *lazily*, at most one per dynamic instruction (the
-    arena caches the live occupant's view in ``SoACore._col_views``), so
+    arena caches the live occupant's view in ``CextCore._col_views``), so
     object identity is as stable as the underlying instruction: every
     hook invocation for the same dynamic instruction passes the same
     view, and identity-keyed policy state (``ThreadState.ll_owners``,

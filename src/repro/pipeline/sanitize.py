@@ -2,30 +2,38 @@
 
 ``REPRO_SANITIZE=1`` makes :func:`repro.experiments.runner.core_for`
 return *checked* engine subclasses (:class:`CheckedSMTCore`,
-:class:`CheckedSoACore`) that wrap the two recycling allocators — the
-object engine's retired-``DynInstr`` pool and the SoA engine's arena
-free list — with the classic allocator-sanitizer checks:
+:class:`CheckedCextCore`) that check the two recycling allocators — the
+object engine's retired-``DynInstr`` pool and the ``cext`` engine's
+arena free list — with the classic allocator-sanitizer checks:
 
-* **double-free** — returning a record/slot that is already pooled;
+* **double-free** — a record/slot returned to the pool twice;
 * **use-after-free** — a pooled record reachable from live pipeline
-  state at a measurement boundary, or a pooled record whose pristine
-  invariants were mutated while on the free list (caught at both the
-  free and the re-allocation ends);
-* **leak at exit** — a SoA slot that is neither freed nor reachable
-  from any live root (front-end queues, windows, rename maps, event
-  wheels, waiter/old-map/parent edges, policy-held views) when
-  :meth:`~repro.pipeline.core.SMTCore.advance_to` returns;
+  state, or a pooled record/slot whose pristine invariants were mutated
+  while it sat on the free list;
+* **leak** — an arena slot that is neither freed nor reachable from any
+  live root (front-end queues, windows, rename maps, event wheels,
+  waiter/old-map/parent edges, policy-held views);
 * **event-wheel monotonicity** — an armed calendar-queue entry dated
-  before the current cycle at the top of :meth:`step` (an event the
-  fast-forward probe skipped would silently never fire).
+  before the current cycle (an event the fast-forward probe skipped
+  would silently never fire).
 
-The checked subclasses override :meth:`step`, which both engines'
-``_run_until`` detect and answer by driving the simulation generically
-(one ``step()`` call per cycle) instead of through their fused loops —
-so every cycle boundary is observable.  That makes sanitized runs
-slower, but still **bit-exact**: the golden matrix passes under
-``REPRO_SANITIZE=1`` on both backends, and the ``golden-sanitize`` CI
-leg holds it there.
+The two engines are checked at different grains:
+
+* :class:`CheckedSMTCore` overrides :meth:`~repro.pipeline.core.SMTCore.
+  step`, which ``SMTCore._run_until`` answers by driving the simulation
+  one observable ``step()`` per cycle; its pool checks run at every free
+  and allocation, and the use-after-free scan when ``advance_to``
+  returns.
+* :class:`CheckedCextCore` runs the *compiled* loop — the code an
+  unsanitized ``cext`` run executes — in per-commit chunks
+  (``run_until`` with ``max_commits = watermark + 1``) and checks the
+  wheels, the free list's contents and the leak scan between chunks.
+  The C pushes and pops the free list through the list C API, so the
+  checks read its contents rather than intercepting calls.
+
+Sanitized runs are slower but **bit-exact**: the golden matrix passes
+under ``REPRO_SANITIZE=1`` on both backends, and the ``golden-sanitize``
+CI leg holds it there.
 
 With the variable unset the module is never imported and the engines
 run their unchecked allocators — zero cost when off.
@@ -38,13 +46,13 @@ engine exceptions.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 import os
 from typing import TYPE_CHECKING, Any
 
 from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
 from repro.pipeline.dyninstr import F_FREED, SLOT_MASK, SoAView
-from repro.pipeline.soa import SoACore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.dyninstr import DynInstr
@@ -71,8 +79,6 @@ def checked_variant(cls: type) -> type:
     """
     if cls is SMTCore:
         return CheckedSMTCore
-    if cls is SoACore:
-        return CheckedSoACore
     if cls is CextCore:
         return CheckedCextCore
     return cls
@@ -86,8 +92,9 @@ def _check_wheels(core: SMTCore, cycle: int) -> None:
     """No armed calendar entry may be dated before the current cycle.
 
     Buckets drain exactly at their own cycle and every fast-forward jump
-    is bounded by the armed marks, so an entry dated ``< cycle`` at the
-    top of ``step`` is an event that was skipped and will never fire.
+    is bounded by the armed marks, so an entry dated ``< cycle`` before
+    a cycle is simulated is an event that was skipped and will never
+    fire.
     """
     for name in ("_ev_marks", "_dt_marks", "_wb_marks"):
         marks = getattr(core, name)
@@ -227,66 +234,15 @@ class CheckedSMTCore(SMTCore):
 
 
 # --------------------------------------------------------------------- #
-# SoA engine: checked arena free list
+# cext engine: the compiled loop in checked chunks
 # --------------------------------------------------------------------- #
 
-def _assert_pristine_slot(core: SoACore, s: int, when: str) -> None:
-    """The free-list pristine-slot contract (the alloc path relies on
-    these columns being clear and does not re-write them)."""
-    for col, clear in (("_col_pending", 0), ("_col_refs", 0),
-                       ("_col_waiter0", -1), ("_col_waiters", None),
-                       ("_col_old_map", -1), ("_col_ll_parents", None),
-                       ("_col_fill_line", None), ("_col_views", None)):
-        value = getattr(core, col)[s]
-        if value is not clear and value != clear:
-            raise SanitizerError(
-                f"{when}: freed slot {s} is not pristine: "
-                f"{col}[{s}] == {value!r} (expected {clear!r})")
-
-
-class CheckedFreeList(list):
-    """An arena free list that checks the slot-recycling contract.
-
-    Drop-in for ``SoACore._free`` (the engine calls ``append``/``pop``/
-    ``extend``/truth).  Tracks membership to catch double-frees and
-    asserts the pristine-slot columns at both ends.  ``append`` must
-    *not* require ``F_FREED``: the commit path pushes the slot first and
-    folds the flag in with a merged store in the same cycle; by ``pop``
-    time the flag is always set, so the allocation end checks it.
-    """
-
-    __slots__ = ("_core", "_slots")
-
-    def __init__(self, core: SoACore, items: Iterable[int] = ()):
-        super().__init__(items)
-        self._core = core
-        self._slots = set(self)
-
-    def append(self, s: int) -> None:
-        slots = self._slots
-        if s in slots:
-            raise SanitizerError(f"double free: slot {s} returned to "
-                                 f"the arena free list twice")
-        _assert_pristine_slot(self._core, s, "free")
-        slots.add(s)
-        super().append(s)
-
-    def extend(self, items: Iterable[int]) -> None:
-        # _soa_grow: fresh slots, pristine and F_FREED by construction.
-        items = list(items)
-        self._slots.update(items)
-        super().extend(items)
-
-    def pop(self, index: int = -1) -> int:
-        s = super().pop(index)
-        self._slots.discard(s)
-        core = self._core
-        if not core._col_flags[s] & F_FREED:
-            raise SanitizerError(
-                f"alloc: slot {s} came off the free list without "
-                f"F_FREED set")
-        _assert_pristine_slot(core, s, "alloc (mutated while freed)")
-        return s
+#: The free-list pristine-slot contract: the columns the allocation path
+#: relies on being clear and does not re-write, with their clear values.
+_PRISTINE = (("_col_pending", 0), ("_col_refs", 0), ("_col_waiter0", -1),
+             ("_col_waiters", None), ("_col_old_map", -1),
+             ("_col_ll_parents", None), ("_col_fill_line", None),
+             ("_col_views", None))
 
 
 def _iter_views(obj: Any, depth: int = 0) -> Iterator[SoAView]:
@@ -303,65 +259,62 @@ def _iter_views(obj: Any, depth: int = 0) -> Iterator[SoAView]:
                 yield from _iter_views(v, depth + 1)
 
 
-class _CheckedArenaMixin(SoACore):
-    """The arena-sanitizer behavior, shared by every SoA-layout engine.
+class CheckedCextCore(CextCore):
+    """The ``cext`` backend under ``REPRO_SANITIZE=1``.
 
-    Mixed in front of :class:`SoACore` (and :class:`CextCore`, whose
-    state layout is identical).  Overriding :meth:`step` is the whole
-    activation mechanism: both fused drivers — the Python one in
-    ``SoACore._run_until`` and the compiled one behind
-    ``CextCore._run_until`` — detect the override and fall back to the
-    generic one-``step()``-per-cycle loop, so sanitized runs never enter
-    an unchecked fast path (compiled or not).
+    :meth:`_run_until` calls the compiled ``run_until`` once per commit
+    watermark step and runs :meth:`sanitize_check` (plus the wheel
+    check) between calls, so a sanitized ``cext`` run executes the same
+    C an unsanitized one does, with the arena checked at every commit.
     """
 
     __slots__ = ()
 
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._free = CheckedFreeList(self, self._free)
-
-    def step(self) -> None:
-        cycle = self.cycle
-        _check_wheels(self, cycle)
-        super().step()
-        if self.cycle <= cycle:
-            raise SanitizerError(
-                f"step() did not advance the cycle (stuck at {cycle})")
-
-    def advance_to(self, commits: int,
-                   max_cycles: int | None = None) -> bool:
-        done = super().advance_to(commits, max_cycles)
-        self.sanitize_check()
-        return done
+    def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
+        run_chunk = super()._run_until
+        while self._committed_watermark < max_commits:
+            _check_wheels(self, self.cycle)
+            run_chunk(self._committed_watermark + 1, max_cycles)
+            self.sanitize_check()
 
     def sanitize_check(self) -> None:
-        """Free-list/flag consistency plus the leak-at-exit scan."""
+        """Free-list contents plus the leak scan (the C bypasses any
+        list-method override, so the list is read, not intercepted)."""
         free = self._free
-        if not isinstance(free, CheckedFreeList):
-            return
-        flags = self._col_flags
-        free_slots = free._slots
+        free_slots = set(free)
         if len(free_slots) != len(free):
+            dup = next(s for s in free if free.count(s) > 1)
             raise SanitizerError(
-                f"free list holds duplicates: {len(free)} entries, "
-                f"{len(free_slots)} distinct slots")
-        for s in free_slots:
-            if not flags[s] & F_FREED:
-                raise SanitizerError(
-                    f"slot {s} is on the free list without F_FREED")
-        live = self._live_slots()
-        for s in range(self._capacity):
-            if flags[s] & F_FREED:
-                if s not in free_slots:
+                f"double free: slot {dup} is on the arena free list "
+                f"{free.count(dup)} times")
+        if free:
+            pick = itemgetter(*free, free[0])   # always a tuple
+            for col, clear in _PRISTINE:
+                values = pick(getattr(self, col))[:-1]
+                if values.count(clear) != len(values):
+                    s, value = next((s, v) for s, v in zip(free, values)
+                                    if v is not clear and v != clear)
                     raise SanitizerError(
-                        f"slot {s} has F_FREED but is not on the free "
-                        f"list (lost to the allocator)")
-            elif s not in live:
+                        f"freed slot {s} is not pristine: {col}[{s}] == "
+                        f"{value!r} (expected {clear!r})")
+            flags = self._col_flags
+            for s in free:
+                if not flags[s] & F_FREED:
+                    raise SanitizerError(
+                        f"slot {s} is on the free list without F_FREED")
+        allocated = set(range(self._capacity)).difference(free_slots)
+        for s in allocated:
+            if self._col_flags[s] & F_FREED:
                 raise SanitizerError(
-                    f"leak: slot {s} (t{self._col_thread[s]}"
-                    f"#{self._col_seq[s]}) is neither freed nor "
-                    f"reachable from any live root")
+                    f"slot {s} has F_FREED but is not on the free list "
+                    f"(lost to the allocator)")
+        leaked = allocated - self._live_slots()
+        if leaked:
+            s = min(leaked)
+            raise SanitizerError(
+                f"leak: slot {s} (t{self._col_thread[s]}"
+                f"#{self._col_seq[s]}) is neither freed nor reachable "
+                f"from any live root")
 
     def _live_slots(self) -> set[int]:
         """Slots reachable from the live roots, transitively."""
@@ -425,23 +378,3 @@ class _CheckedArenaMixin(SoACore):
                 for p in ps:
                     add(p)
         return live
-
-
-class CheckedSoACore(_CheckedArenaMixin):
-    """SoA engine with the arena free list under sanitizer checks."""
-
-    __slots__ = ()
-
-
-class CheckedCextCore(_CheckedArenaMixin, CextCore):
-    """The ``cext`` backend under ``REPRO_SANITIZE=1``.
-
-    The state layout is exactly the SoA engine's, so the same arena
-    checks apply verbatim.  The :meth:`step` override (from the mixin)
-    makes ``CextCore._run_until`` refuse its compiled loop and drive the
-    simulation through checked per-cycle steps instead — a sanitized
-    ``cext`` run is a sanitized ``soa`` run, never a silently unchecked
-    compiled one.
-    """
-
-    __slots__ = ()

@@ -160,7 +160,7 @@ class ThreadState:
         self.trace_body_len = getattr(trace, "body_len", 1)
         #: Per-static-instruction ``flags`` templates parallel to
         #: ``trace_static`` (see :func:`repro.pipeline.dyninstr.
-        #: instr_flags`); populated by the SoA engine, ``None`` on the
+        #: instr_flags`); populated by the cext engine, ``None`` on the
         #: object engine.
         self.trace_flags: list[int | None] | None = None
         # When not None, the commit cycle of every instruction is appended

@@ -134,7 +134,7 @@ class BinaryMLPFlushAtStallPolicy(LongLatencyAwarePolicy):
         super().on_load_complete(di, ts)
 
     # Episode anchors and owner grants are both identity-keyed, so the
-    # SoA engine may skip the call for never-seen records (see
+    # cext engine may skip the call for never-seen records (see
     # repro.policies.base).
     on_load_complete._identity_keyed_cleanup = True
 

@@ -199,7 +199,7 @@ class LongLatencyAwarePolicy(FetchPolicy):
 
 # Marks on_load_complete implementations that only *de-register* state
 # keyed by record identity (owner grants, episode anchors): for a record
-# the policy was never handed, the call is provably a no-op.  The SoA
+# the policy was never handed, the call is provably a no-op.  The cext
 # engine uses this to skip both the call and the view materialization for
 # loads that never reached a policy hook; the object engine ignores it.
 # Like the default-hook markers above, the marker lives on the function

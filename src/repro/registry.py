@@ -155,19 +155,16 @@ def _load_checkers(reg: Registry) -> None:
 
 
 def _load_backends(reg: Registry) -> None:
-    # ``object`` is the original DynInstr-object engine; ``soa`` is the
-    # struct-of-arrays rewrite of the same pipeline (bit-identical
+    # ``object`` is the DynInstr-object engine; ``cext`` is the compiled
+    # struct-of-arrays loop over the same pipeline (bit-identical
     # architectural outcome, different in-memory representation).  A
     # policy's ``core_class`` (e.g. runahead) always takes precedence
     # over the selected backend — see ``repro.experiments.runner``.
-    # ``cext`` is the compiled C-extension loop over the same columns; it
-    # registers only when the lazy toolchain probe + build succeed, so on
-    # a compiler-less host the table simply lists two entries.
+    # ``cext`` registers only when the lazy toolchain probe + build
+    # succeed, so on a compiler-less host the table lists ``object`` only.
     from repro.pipeline import SMTCore
     from repro.pipeline.cext import load_cext_core
-    from repro.pipeline.soa import SoACore
     reg._entries.setdefault("object", SMTCore)
-    reg._entries.setdefault("soa", SoACore)
     cext_core = load_cext_core()
     if cext_core is not None:
         reg._entries.setdefault("cext", cext_core)

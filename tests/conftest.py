@@ -6,7 +6,13 @@ import pytest
 
 from repro.config import scaled_config
 from repro.isa import Instr, Op
+from repro.pipeline.cext import load_cext_core
 from repro.testing import isolated_result_store
+
+#: Marks tests of the compiled ``cext`` backend, which exists only where
+#: the lazy toolchain probe and build succeed.
+needs_cext = pytest.mark.skipif(load_cext_core() is None,
+                                reason="cext backend not buildable here")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,8 +1,7 @@
 """Object-engine half of the known-bad engine-parity fixture (parsed only).
 
-The commit method invokes ``on_ll_detect`` and writes two stat fields;
-the SoA twin (bad_soa.py) replaces the method but drops both the hook
-and the ``flushes`` write.
+The commit method invokes ``on_ll_detect``; the cext twin (bad_cext.py
+and bad_cext.c) never reaches that hook.
 """
 
 
@@ -10,4 +9,3 @@ class SMTCore:
     def _commit(self, ts):
         self.policy.on_ll_detect(None, ts)
         ts.stats.committed += 1
-        ts.stats.flushes += 1

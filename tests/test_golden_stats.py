@@ -8,10 +8,10 @@ stall counters bit-for-bit.  A diff here means a hot-loop "optimization"
 changed architectural behavior — that is a bug, not a baseline refresh,
 unless the change to the timing model was intentional and reviewed.
 
-Every cell runs under *all* selectable engine backends (``object`` and
-``soa`` always; the compiled ``cext`` when the host toolchain can build
-it): one fixture is the cycle-exactness contract that licenses picking
-a backend per :class:`repro.api.RunSpec` without touching result
+Every cell runs under *all* selectable engine backends (``object``
+always; the compiled ``cext`` when the host toolchain can build it):
+one fixture is the cycle-exactness contract that licenses picking a
+backend per :class:`repro.api.RunSpec` without touching result
 semantics.
 """
 
@@ -29,7 +29,7 @@ from repro.perf.golden import (
 )
 from repro.pipeline.cext import load_cext_core
 
-_BACKENDS = ("object", "soa") + (
+_BACKENDS = ("object",) + (
     ("cext",) if load_cext_core() is not None else ())
 
 _FIXTURE = Path(__file__).parent / "golden" / "golden_stats.json"

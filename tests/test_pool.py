@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubTrace, alu, branch, load, store
+from conftest import StubTrace, alu, branch, load, needs_cext, store
 from repro.config import SMTConfig
 from repro.perf.golden import snapshot_cell
 from repro.perf.scenarios import Scenario, run_scenario
@@ -148,14 +148,15 @@ def test_detect_queued_records_are_not_pooled():
 
 
 # --------------------------------------------------------------------- #
-# SoA arena: the free list is the pool, slots are the records
+# cext's struct-of-arrays arena: the free list is the pool, slots are
+# the records
 # --------------------------------------------------------------------- #
 
 def _soa_assert_free_list_pristine(core):
     """The SoA analogue of the pool invariants, on the columns.
 
     Every slot on the free list must carry exactly the state the alloc
-    fast path relies on without re-writing (see the ``soa`` module
+    fast path relies on without re-writing (see the ``cext`` module
     docstring), and no live engine structure may still reference it.
     """
     from repro.pipeline.dyninstr import F_FREED
@@ -179,16 +180,21 @@ def _soa_assert_free_list_pristine(core):
             s for s in ts.rename_map if s >= 0)
 
 
+@needs_cext
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**20),
-       cycles=st.integers(min_value=150, max_value=600),
-       flush_points=st.lists(st.integers(min_value=1, max_value=80),
+       commits=st.integers(min_value=40, max_value=200),
+       flush_points=st.lists(st.integers(min_value=1, max_value=40),
                              max_size=3))
-def test_soa_free_slots_are_pristine(seed, cycles, flush_points):
-    """Random runs + flush injections leave only pristine free slots."""
+def test_soa_free_slots_are_pristine(seed, commits, flush_points):
+    """Random runs + flush injections leave only pristine free slots.
+
+    The compiled loop is driven through commit checkpoints
+    (``begin_measurement``/``advance_to``); flushes land between them.
+    """
     import random
 
-    from repro.pipeline.soa import SoACore
+    from repro.pipeline.cext import CextCore
 
     rng = random.Random(seed)
     cfg = SMTConfig(num_threads=2)
@@ -209,14 +215,12 @@ def test_soa_free_slots_are_pristine(seed, cycles, flush_points):
         bodies.append(body)
     traces = [StubTrace(body, base=(tid + 1) << 33)
               for tid, body in enumerate(bodies)]
-    core = SoACore(cfg, traces, make_policy("mlp_flush"))
-    budget = iter(sorted(flush_points))
-    next_flush = next(budget, None)
-    for step in range(cycles):
-        core.step()
-        if next_flush is not None and step == next_flush:
-            ts = core.threads[rng.randrange(2)]
-            core.flush_thread(ts, max(ts.fetch_index - 1
-                                      - rng.randrange(20), 0))
-            next_flush = next(budget, None)
+    core = CextCore(cfg, traces, make_policy("mlp_flush"))
+    core.begin_measurement(0)
+    for checkpoint in sorted(flush_points):
+        core.advance_to(checkpoint)
+        ts = core.threads[rng.randrange(2)]
+        core.flush_thread(ts, max(ts.fetch_index - 1
+                                  - rng.randrange(20), 0))
+    core.advance_to(commits)
     _soa_assert_free_list_pristine(core)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubTrace
+from conftest import StubTrace, needs_cext
 from repro.config import SMTConfig
 from repro.isa import NUM_ARCH_REGS, Instr, Op
 from repro.pipeline.core import SMTCore
@@ -154,7 +154,7 @@ def test_array_rename_matches_dict_oracle(data):
 def _soa_rename_shape(core):
     """The SoA columns' rename state, in the object engine's shape.
 
-    The soa map holds slot numbers; project each mapped slot's columns
+    The arena's map holds slot numbers; project each mapped slot's columns
     onto the same (reg, seq, gseq, retired, completed, squashed) tuple
     ``_rename_shape`` builds from record attributes.  Reference counts
     are *not* compared: the arena counts rename-current occupancy as a
@@ -183,18 +183,21 @@ def _soa_rename_shape(core):
     return shape
 
 
+@needs_cext
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_soa_rename_columns_match_object_records(data):
-    """Object engine as the oracle for the SoA rename columns.
+    """Object engine as the oracle for the ``cext`` rename columns.
 
     The same random programs and flush injections drive an
-    :class:`SMTCore` and a :class:`SoACore` in lockstep; at every
-    checkpoint the arena's slot-number map must project onto exactly
-    the object engine's record map (minus identity and refcounts), and
-    the architectural stats must agree cycle for cycle.
+    :class:`SMTCore` and a :class:`CextCore` through the same commit
+    checkpoints (``begin_measurement``/``advance_to``); at every
+    checkpoint both must stand at the same cycle, the arena's
+    slot-number map must project onto exactly the object engine's
+    record map (minus identity and refcounts), and the architectural
+    stats must agree.
     """
-    from repro.pipeline.soa import SoACore
+    from repro.pipeline.cext import CextCore
 
     draw = data.draw
     num_threads = draw(st.sampled_from((1, 2, 4)))
@@ -204,7 +207,7 @@ def test_soa_rename_columns_match_object_records(data):
     cfg = SMTConfig(num_threads=num_threads)
     traces = [StubTrace(body, base=(tid + 1) << 33)
               for tid, body in enumerate(programs)]
-    soa = SoACore(cfg, traces, make_policy("icount"))
+    cext = CextCore(cfg, traces, make_policy("icount"))
 
     def _obj_shape_no_refs():
         return [[None if entry is None else entry[:6]
@@ -212,28 +215,31 @@ def test_soa_rename_columns_match_object_records(data):
                 for regs in _rename_shape(obj)]
 
     segments = draw(st.lists(
-        st.tuples(st.integers(min_value=5, max_value=120),
+        st.tuples(st.integers(min_value=1, max_value=40),
                   st.booleans(),
                   st.integers(min_value=0, max_value=num_threads - 1),
                   st.integers(min_value=0, max_value=40)),
         min_size=2, max_size=8))
-    for cycles, do_flush, tid, rewind in segments:
-        for _ in range(cycles):
-            obj.step()
-            soa.step()
+    obj.begin_measurement(0)
+    cext.begin_measurement(0)
+    target = 0
+    for commits, do_flush, tid, rewind in segments:
+        target += commits
+        obj.advance_to(target)
+        cext.advance_to(target)
         if do_flush:
             ts_o = obj.threads[tid]
-            ts_s = soa.threads[tid]
+            ts_s = cext.threads[tid]
             assert ts_o.fetch_index == ts_s.fetch_index
             after_seq = max(ts_o.fetch_index - 1 - rewind, 0)
             obj.flush_thread(ts_o, after_seq)
-            soa.flush_thread(ts_s, after_seq)
-        assert obj.cycle == soa.cycle
-        assert _obj_shape_no_refs() == _soa_rename_shape(soa)
-        assert _stats_shape(obj) == _stats_shape(soa)
+            cext.flush_thread(ts_s, after_seq)
+        assert obj.cycle == cext.cycle
+        assert _obj_shape_no_refs() == _soa_rename_shape(cext)
+        assert _stats_shape(obj) == _stats_shape(cext)
 
-    assert _obj_shape_no_refs() == _soa_rename_shape(soa)
-    assert _stats_shape(obj) == _stats_shape(soa)
+    assert _obj_shape_no_refs() == _soa_rename_shape(cext)
+    assert _stats_shape(obj) == _stats_shape(cext)
 
 
 @settings(max_examples=25, deadline=None)

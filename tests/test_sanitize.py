@@ -3,9 +3,10 @@
 Pins the three contracts of :mod:`repro.pipeline.sanitize`: the env
 knob swaps the checked engine subclasses in through ``core_for`` (and
 only then — off means the module is not even imported); a sanitized
-run is bit-exact with a stock one on both backends; and the checks
-actually fire — planted double-frees, a record mutated while pooled,
-and a slot mutated while on the arena free list all raise
+run is bit-exact with a stock one on both backends, and a sanitized
+``cext`` run executes the compiled loop; and the checks actually fire —
+planted double-frees, a record mutated while pooled, a slot mutated
+while on the arena free list and a leaked slot all raise
 :class:`~repro.pipeline.sanitize.SanitizerError`.
 """
 
@@ -13,19 +14,21 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import needs_cext
 from repro.config import scaled_config
 from repro.experiments.runner import core_for, trace_for
+from repro.pipeline import cext as cext_mod
+from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
+from repro.pipeline.dyninstr import F_FREED
 from repro.pipeline.sanitize import (
-    CheckedFreeList,
+    CheckedCextCore,
     CheckedPool,
     CheckedSMTCore,
-    CheckedSoACore,
     SanitizerError,
     checked_variant,
     sanitize_enabled,
 )
-from repro.pipeline.soa import SoACore
 from repro.policies import make_policy
 from repro.runahead import RunaheadCore
 
@@ -50,13 +53,12 @@ class TestWiring:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert not sanitize_enabled()
         assert core_for(make_policy("icount")) is SMTCore
-        assert core_for(make_policy("icount"), "soa") is SoACore
 
     def test_env_selects_checked_cores(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert sanitize_enabled()
         assert core_for(make_policy("icount")) is CheckedSMTCore
-        assert core_for(make_policy("icount"), "soa") is CheckedSoACore
+        assert checked_variant(CextCore) is CheckedCextCore
 
     def test_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
@@ -75,10 +77,31 @@ class TestBitExactness:
         _, checked = _run(CheckedSMTCore)
         assert checked == stock
 
-    def test_soa_engine(self):
-        _, stock = _run(SoACore)
-        _, checked = _run(CheckedSoACore)
+    @needs_cext
+    def test_cext_engine(self):
+        _, stock = _run(CextCore)
+        _, checked = _run(CheckedCextCore)
         assert checked == stock
+
+    @needs_cext
+    def test_sanitized_cext_runs_the_compiled_loop(self, monkeypatch):
+        # Every chunk goes through the extension's run_until, one commit
+        # watermark step at a time; no Python cycle body exists to fall
+        # back to (CextCore.step raises).
+        engine = cext_mod._engine()
+        targets = []
+
+        class Spy:
+            def run_until(self, core, max_commits, limit):
+                targets.append(max_commits)
+                engine.run_until(core, max_commits, limit)
+
+        monkeypatch.setattr(cext_mod, "_state", (Spy(), "spy"))
+        core, _ = _run(CheckedCextCore, commits=400)
+        assert len(targets) > 100
+        assert targets[-1] <= core._committed_watermark
+        with pytest.raises(NotImplementedError):
+            core.step()
 
 
 class TestObjectEngineDetection:
@@ -117,36 +140,39 @@ class TestObjectEngineDetection:
         core.sanitize_check()   # restored state passes again
 
 
-class TestSoAEngineDetection:
+@needs_cext
+class TestCextEngineDetection:
     def test_double_free_caught(self):
-        core, _ = _run(CheckedSoACore)
+        core, _ = _run(CheckedCextCore, commits=400)
         free = core._free
-        assert isinstance(free, CheckedFreeList) and free
+        assert free
+        free.append(free[-1])
         with pytest.raises(SanitizerError, match="double free"):
-            free.append(free[-1])
+            core.sanitize_check()
+        free.pop()
+        core.sanitize_check()   # restored state passes again
 
     def test_dirty_slot_free_caught(self):
-        core, _ = _run(CheckedSoACore)
+        core, _ = _run(CheckedCextCore, commits=400)
         free = core._free
         s = free.pop()
         core._col_pending[s] = 1
-        with pytest.raises(SanitizerError, match="not pristine"):
-            free.append(s)
-        core._col_pending[s] = 0
         free.append(s)
+        with pytest.raises(SanitizerError, match="not pristine"):
+            core.sanitize_check()
+        core._col_pending[s] = 0
+        core.sanitize_check()
 
     def test_mutated_while_freed_caught(self):
-        core, _ = _run(CheckedSoACore)
-        free = core._free
-        s = free[-1]
+        core, _ = _run(CheckedCextCore, commits=400)
+        s = core._free[0]
         core._col_waiter0[s] = 7
-        with pytest.raises(SanitizerError, match="mutated while freed"):
-            free.pop()
+        with pytest.raises(SanitizerError, match=r"waiter0\[.*== 7"):
+            core.sanitize_check()
         core._col_waiter0[s] = -1
 
     def test_leak_scan_flags_lost_slot(self):
-        from repro.pipeline.dyninstr import F_FREED
-        core, _ = _run(CheckedSoACore)
+        core, _ = _run(CheckedCextCore, commits=400)
         s = core._free.pop()                 # allocated...
         core._col_flags[s] &= ~F_FREED      # ...but reachable from nowhere
         with pytest.raises(SanitizerError, match="leak"):
@@ -154,3 +180,12 @@ class TestSoAEngineDetection:
         core._col_flags[s] |= F_FREED
         core._free.append(s)
         core.sanitize_check()
+
+    def test_planted_defect_stops_the_run(self, monkeypatch):
+        # The checks run between compiled chunks, not only at the end:
+        # a slot dirtied on the free list fails the very next chunk.
+        core = _build(CheckedCextCore)
+        core._col_refs[core._free[0]] = 3
+        with pytest.raises(SanitizerError, match="not pristine"):
+            core.run(1_500, warmup=300)
+        assert core._committed_watermark == 1

@@ -14,6 +14,7 @@ processor).  Two factory functions are provided:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 import hashlib
 import json
 
@@ -185,11 +186,17 @@ class SMTConfig:
         Hashes the dataclass field tree (via canonical JSON) rather than
         ``repr``, so the key survives repr-format changes and is identical
         across processes.  :mod:`repro.jobs` uses it to key the persistent
-        result store.
+        result store.  Computed once per instance: the fields are frozen,
+        so the memo (kept outside the dataclass fields, invisible to
+        equality, ``asdict`` and ``replace``) cannot go stale.
         """
-        blob = json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            blob = json.dumps(asdict(self), sort_keys=True,
+                              separators=(",", ":"))
+            key = hashlib.sha256(blob.encode("ascii")).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 def config_to_dict(cfg: SMTConfig) -> dict:
@@ -255,12 +262,15 @@ def paper_baseline(num_threads: int = 2, **overrides) -> SMTConfig:
     return replace(SMTConfig(num_threads=num_threads), **overrides)
 
 
+@lru_cache(maxsize=64)
 def single_thread_variant(cfg: SMTConfig) -> SMTConfig:
     """``cfg`` reduced to one hardware thread (identity if already 1).
 
     Single-threaded CPI baselines and multithreaded runs must share every
     other parameter, so this is the only sanctioned way to derive the
-    baseline machine from a workload machine.
+    baseline machine from a workload machine.  Memoized, so every
+    baseline of one machine shares a config instance and its memoized
+    :meth:`SMTConfig.cache_key`.
     """
     if cfg.num_threads == 1:
         return cfg

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.config import SMTConfig
+from repro.experiments import runner
 from repro.experiments.defaults import (
     characterization_config,
     default_commits,
     default_warmup,
 )
-from repro.experiments.runner import trace_for
 from repro.pipeline import CoreStats, SMTCore
 from repro.policies import make_policy
 
@@ -101,8 +101,9 @@ def profile_benchmark(name: str, cfg: SMTConfig | None = None,
     cached = _profile_cache.get(key)
     if cached is not None:
         return cached
-    trace = trace_for(name, cfg, slot=0)
-    core = SMTCore(cfg, [trace], make_policy("icount"))
+    trace = runner.trace_for(name, cfg, slot=0)
+    pol = make_policy("icount")
+    core: SMTCore = runner.core_for(pol)(cfg, [trace], pol)
     stats = core.run(max_commits, warmup=default_warmup())
     ts = core.threads[0]
     result = ProfileResult(
@@ -118,6 +119,7 @@ def profile_benchmark(name: str, cfg: SMTConfig | None = None,
         mlp_binary_accuracy=ts.mlp_pred.binary_accuracy,
         mlp_distance_accuracy=ts.mlp_pred.distance_accuracy,
     )
+    core.release()
     _profile_cache[key] = result
     return result
 

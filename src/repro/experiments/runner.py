@@ -98,25 +98,40 @@ def _single_config(cfg: SMTConfig) -> SMTConfig:
     return single_thread_variant(cfg)
 
 
+def default_backend() -> str:
+    """The engine an unpinned run resolves to: ``cext`` when the
+    ``backends`` registry has it (the toolchain probe built it and
+    ``REPRO_CEXT=0`` is not set), else ``object``.
+
+    The engines are bit-identical, so this choice changes wall time,
+    never results; it is not part of any content hash.
+    """
+    from repro import registry  # lazy: registry sits above experiments
+    return "cext" if "cext" in registry.backends else "object"
+
+
 def core_for(policy: FetchPolicy,
-             backend: str = "object") -> type[SMTCore]:
+             backend: str | None = None) -> type[SMTCore]:
     """The core class for one run: policy requirement, then backend.
 
     A policy's ``core_class`` (e.g. runahead's specialized core) always
     wins — those policies are only implemented on their own engine.  For
-    every other policy the named entry of the ``backends`` registry is
-    used; ``object`` (the default) short-circuits to :class:`SMTCore`
-    without touching the registry, so the common path stays
-    import-cycle-free and pays no lookup.
+    every other policy ``backend`` names the entry of the ``backends``
+    registry to use; ``None`` means unpinned and resolves through
+    :func:`default_backend`.  This is the one place a run's engine is
+    chosen: workload runs, single-thread baselines, profiling and the
+    serialized-memory runs all construct their cores through it.
 
     With ``REPRO_SANITIZE`` set (see :mod:`repro.pipeline.sanitize`) the
-    stock engines are swapped for their checked subclasses — bit-exact,
+    resolved engine is swapped for its checked subclass — bit-exact,
     slower, allocator invariants asserted.  The env probe is the only
     cost when the knob is off; the sanitizer module is not even
     imported.  Specialized cores bypass the sanitizer.
     """
     if policy.core_class is not None:
         return policy.core_class
+    if backend is None:
+        backend = default_backend()
     if backend == "object":
         cls = SMTCore
     else:
@@ -143,6 +158,7 @@ def run_single(name: str, cfg: SMTConfig, max_commits: int,
                      warmup=default_warmup() if warmup is None else warmup)
     if record_commits:
         stats.commit_cycle_trace = core.threads[0].commit_cycles
+    core.release()
     return stats
 
 
@@ -154,10 +170,13 @@ def simulate_baseline(name: str, st_cfg: SMTConfig, max_commits: int,
     :mod:`repro.jobs` executor; ``st_cfg`` must already be single-threaded.
     """
     trace = trace_for(name, st_cfg, slot=0, seed=seed)
-    core = SMTCore(st_cfg, [trace], make_policy("icount"))
-    core.threads[0].commit_cycles = []
+    pol = make_policy("icount")
+    core = core_for(pol)(st_cfg, [trace], pol)
+    ts = core.threads[0]
+    ts.commit_cycles = []
     stats = core.run(max_commits, warmup=warmup)
-    return SingleThreadResult(name, stats, core.threads[0].commit_cycles)
+    core.release()
+    return SingleThreadResult(name, stats, ts.commit_cycles)
 
 
 _baseline_cache: dict = {}
@@ -228,7 +247,7 @@ class WorkloadResult:
 
 def build_core(names: tuple[str, ...] | list[str], cfg: SMTConfig,
                policy: str = "icount", seed: int = 0,
-               backend: str = "object", **policy_kwargs) -> SMTCore:
+               backend: str | None = None, **policy_kwargs) -> SMTCore:
     """Construct the simulation core for a workload.
 
     The single construction path: :func:`run_workload` (and through it
@@ -250,7 +269,7 @@ def build_core(names: tuple[str, ...] | list[str], cfg: SMTConfig,
 def run_workload(names: tuple[str, ...] | list[str], cfg: SMTConfig,
                  policy: str = "icount", max_commits: int = 20_000,
                  warmup: int | None = None, seed: int = 0,
-                 backend: str = "object",
+                 backend: str | None = None,
                  **policy_kwargs) -> tuple[CoreStats, SMTCore]:
     """Simulate a multiprogram workload; returns (stats, core)."""
     core = build_core(names, cfg, policy, seed, backend=backend,

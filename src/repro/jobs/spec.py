@@ -55,8 +55,8 @@ def canonical_kwargs(value: Any) -> Any:
 
 
 def content_key(kind: str, names, config: SMTConfig, max_commits: int,
-                warmup: int, policy: str, policy_kwargs, seed: int = 0,
-                backend: str = "object") -> str:
+                warmup: int, policy: str, policy_kwargs,
+                seed: int = 0) -> str:
     """The stable hex content key over one simulation's field tree.
 
     The single hashing authority for the whole repo: :class:`JobSpec`
@@ -64,13 +64,11 @@ def content_key(kind: str, names, config: SMTConfig, max_commits: int,
     makes a spec serialized by the new API hit cache entries written by
     the old jobs path (and vice versa).  ``seed=0`` — the canonical
     per-benchmark trace seeds — is omitted from the payload so that keys
-    predating the seed field are unchanged, and the default ``object``
-    engine backend is omitted the same way: every key minted before the
-    backend axis existed stays valid, and the warm store keeps hitting.
-    (A non-default backend *is* keyed, deliberately — the engines are
-    bit-identical by contract, but a result must still say which engine
-    produced it so an equivalence regression can never be masked by the
-    cache.)
+    predating the seed field are unchanged.  The engine backend is not
+    part of the key at all: the engines are bit-identical (the golden
+    matrix and the differential tests pin it), so which one ran is an
+    execution choice like the worker count, not part of what the
+    experiment is.
     """
     payload = {
         "schema": SCHEMA_VERSION,
@@ -86,8 +84,6 @@ def content_key(kind: str, names, config: SMTConfig, max_commits: int,
     }
     if seed:
         payload["seed"] = seed
-    if backend != "object":
-        payload["backend"] = backend
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -110,12 +106,12 @@ class JobSpec:
     policy: str = "icount"
     policy_kwargs: tuple[tuple[str, Any], ...] = ()
     seed: int = 0                   # 0 = canonical per-benchmark seeds
-    backend: str = "object"         # engine core (see registry backends)
+    backend: str | None = None      # pinned engine; None = the default
 
     @classmethod
     def workload(cls, names, config: SMTConfig, policy: str = "icount",
                  max_commits: int = 20_000, warmup: int | None = None,
-                 seed: int = 0, backend: str = "object",
+                 seed: int = 0, backend: str | None = None,
                  **policy_kwargs) -> JobSpec:
         """A multiprogram run evaluated with STP/ANTT."""
         names = tuple(names)
@@ -161,10 +157,9 @@ class JobSpec:
         One spec per program *in workload order* (duplicates included, so
         the caller can zip them against per-thread commit counts).
         Baselines always use the environment-default warmup, matching
-        :func:`repro.experiments.runner.single_thread_baseline`, and
-        always run on the default ``object`` engine — the backends are
-        bit-identical, so sharing one baseline across backends is both
-        sound and what keeps CPI_ST cached exactly once.
+        :func:`repro.experiments.runner.single_thread_baseline`, and are
+        never pinned to an engine: they run on the default one, whatever
+        this job pins, so one CPI_ST result serves every backend.
         """
         if self.kind != KIND_WORKLOAD:
             return ()
@@ -174,11 +169,18 @@ class JobSpec:
             for name in self.names)
 
     def cache_key(self) -> str:
-        """Stable hex content key (raises for unserializable kwargs)."""
-        return content_key(self.kind, self.names, self.config,
-                           self.max_commits, self.warmup, self.policy,
-                           self.policy_kwargs, seed=self.seed,
-                           backend=self.backend)
+        """Stable hex content key (raises for unserializable kwargs).
+
+        Memoized per instance like :meth:`SMTConfig.cache_key`: the
+        executor and the store ask for it several times per job.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = content_key(self.kind, self.names, self.config,
+                              self.max_commits, self.warmup, self.policy,
+                              self.policy_kwargs, seed=self.seed)
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def __str__(self) -> str:
         mix = "-".join(self.names)

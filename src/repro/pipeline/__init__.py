@@ -7,7 +7,8 @@ flat arrays indexed by pool slot (struct-of-arrays) and runs the cycle
 body in a lazily compiled C extension.  They are bit-identical
 architecturally — the golden-stats matrix pins every policy under both
 — and are selected per run through the ``backends`` registry (see
-:mod:`repro.registry` and ``RunSpec.backend``).
+:mod:`repro.registry` and ``RunSpec.backend``); an unpinned run takes
+``cext`` where it builds.
 
 ``CextCore`` is re-exported lazily: importing the package must not pay
 for the second engine unless it is actually used.

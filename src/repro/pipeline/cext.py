@@ -40,14 +40,18 @@ overridable object-engine extension points raise here.
 The extension is built lazily from the checked-in C source with the
 host's own compiler (``cc``/``gcc``/``clang`` — no Cython, no mypyc) and
 cached by source hash, so the first use on a machine pays one compile
-and later uses load the cached shared object.  When no toolchain exists
+and later uses load the cached shared object.  Where the probe succeeds
+``cext`` is the default engine: every unpinned run resolves to it (see
+:func:`repro.experiments.runner.core_for`).  When no toolchain exists
 the probe fails quietly: :func:`load_cext_core` returns ``None``, the
-``backends`` registry simply omits ``cext``, and constructing a
-:class:`CextCore` raises instead of simulating.
+``backends`` registry simply omits ``cext``, unpinned runs use the
+object engine, and constructing a :class:`CextCore` raises instead of
+simulating.
 
 Environment knobs:
 
-* ``REPRO_CEXT=0`` disables the backend entirely (probe reports it).
+* ``REPRO_CEXT=0`` disables the backend entirely (probe reports it), so
+  every run uses the object engine: the way to select it process-wide.
 * ``REPRO_CEXT_CACHE`` overrides the build-cache directory.
 * ``REPRO_SANITIZE=1`` selects :class:`~repro.pipeline.sanitize.
   CheckedCextCore`, which runs this same compiled loop in per-commit
@@ -315,6 +319,13 @@ class CextCore(SMTCore):
     def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         _require_engine().run_until(self, max_commits, limit)
+
+    def release(self) -> None:
+        # Cached views point back at the core too.
+        super().release()
+        for v in self._col_views:
+            if v is not None:
+                v._core = None
 
     # ------------------------------------------------------------------ #
     # arena

@@ -396,6 +396,21 @@ class SMTCore:
         self.stats.ll_intervals = self.hierarchy.ll_intervals
         return self._committed_watermark >= commits
 
+    def release(self) -> None:
+        """Break this finished core's reference cycles; it must not run
+        again.
+
+        The threads and the policy point back at the core, and the stage
+        slots hold methods bound to it, so a discarded core otherwise
+        stays alive until the next full garbage collection.  Callers
+        that keep only the statistics call this to let reference
+        counting free the core at once.
+        """
+        for ts in self.threads:
+            ts.core = None
+        self.policy.core = None
+        self._commit_stage = self._dispatch_stage = self._issue_stage = None
+
     def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         # The commit watermark is maintained by the commit stage and reset

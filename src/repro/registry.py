@@ -161,7 +161,9 @@ def _load_backends(reg: Registry) -> None:
     # policy's ``core_class`` (e.g. runahead) always takes precedence
     # over the selected backend — see ``repro.experiments.runner``.
     # ``cext`` registers only when the lazy toolchain probe + build
-    # succeed, so on a compiler-less host the table lists ``object`` only.
+    # succeed, so on a compiler-less host the table lists ``object`` only;
+    # unpinned runs take ``cext`` whenever it is listed
+    # (``runner.default_backend``).
     from repro.pipeline import SMTCore
     from repro.pipeline.cext import load_cext_core
     reg._entries.setdefault("object", SMTCore)

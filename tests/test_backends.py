@@ -1,11 +1,13 @@
 """Per-RunSpec engine-backend selection (the ``backends`` registry kind).
 
-Covers the ``backends`` registry entries and core resolution precedence
-(a policy's ``core_class`` beats the requested backend), the
-``repro.runspec/2`` schema — backend validation, serialization that
-omits the default, v1 document compatibility — the content-hash
-stability guarantee (default-backend hashes are byte-identical to the
-pre-backend scheme, pinned by literal), the baseline mode naming for
+Covers the ``backends`` registry entries and core resolution: an
+unpinned run takes the default engine (``cext`` when it is built,
+``object`` otherwise), an explicit backend pins its engine, and a
+policy's ``core_class`` beats both.  Also the ``repro.runspec/2``
+schema — backend validation, serialization that omits an unpinned
+backend, v1 document compatibility — the content-hash guarantee (the
+backend is not part of the hash; unpinned hashes are byte-identical to
+the pre-backend scheme, pinned by literal), the baseline mode naming for
 per-backend perf sections, the refusal of the retired ``soa`` backend
 everywhere a backend is named, and end-to-end execution equivalence of
 the object and ``cext`` engines through the public
@@ -18,14 +20,22 @@ host, compiler or not: the ``fake_backend`` fixture registers a trivial
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from conftest import needs_cext
 from repro import registry
 from repro.api import RunSpec, Session, SpecError
 from repro.config import scaled_config
-from repro.experiments.runner import core_for
-from repro.jobs import JobSpec
+from repro.experiments.profile import clear_profile_cache, profile_benchmark
+from repro.experiments.runner import (
+    build_core,
+    core_for,
+    default_backend,
+    run_single,
+)
+from repro.jobs import JobSpec, run_jobs
 from repro.perf.baselines import BaselineError, mode_name, validate_doc
 from repro.pipeline import SMTCore
 from repro.pipeline import cext as cext_mod
@@ -51,7 +61,19 @@ def fake_backend():
     registry.backends.unregister("fake")
 
 
-def _spec(backend="object", **kw):
+@pytest.fixture
+def no_cext(monkeypatch):
+    """The backends table of a process started with ``REPRO_CEXT=0``
+    (or on a host without a compiler): the probe reports the engine
+    disabled and a freshly loaded registry lists ``object`` only."""
+    monkeypatch.setenv("REPRO_CEXT", "0")
+    monkeypatch.setattr(cext_mod, "_state", None)
+    monkeypatch.setattr(registry, "backends",
+                        registry.Registry("backend", registry._load_backends))
+    assert registry.backends.names() == ("object",)
+
+
+def _spec(backend=None, **kw):
     kw.setdefault("max_commits", 800)
     kw.setdefault("warmup", 400)
     return RunSpec(workload=("mcf", "swim"), config=CFG2,
@@ -115,9 +137,54 @@ class TestCextRegistration:
 
 
 class TestCoreResolution:
-    def test_default_is_object_engine(self):
+    def test_default_is_object_engine(self, no_cext):
+        # Without the compiled engine the unpinned default falls back to
+        # the object engine, for plain and policy-gated runs alike.
+        assert default_backend() == "object"
         assert core_for(make_policy("icount")) is SMTCore
+        assert core_for(make_policy("mlp_flush")) is SMTCore
+
+    @needs_cext
+    def test_default_is_cext_when_built(self):
+        assert default_backend() == "cext"
+        assert core_for(make_policy("icount")) is CextCore
+        assert core_for(make_policy("mlp_flush")) is CextCore
+
+    def test_explicit_object_pins_the_object_engine(self):
+        # Holds whether or not cext is built: a pin beats the default.
         assert core_for(make_policy("icount"), "object") is SMTCore
+        assert core_for(make_policy("mlp_flush"), "object") is SMTCore
+
+    @pytest.mark.parametrize("backend", [None, "object"])
+    def test_runahead_keeps_its_core_class(self, backend):
+        assert core_for(make_policy("runahead"), backend) is RunaheadCore
+        assert core_for(make_policy("mlp_runahead"), backend) \
+            is RunaheadCore
+
+    def test_cext_disabled_process_runs_the_object_engine(self):
+        # End to end in a fresh interpreter, as ``REPRO_CEXT=0`` is
+        # meant to be used: the default, the table and the CLI agree.
+        import os
+        import subprocess
+        import sys
+        code = (
+            "from repro import registry\n"
+            "from repro.experiments.runner import build_core\n"
+            "from repro.config import scaled_config\n"
+            "cfg = scaled_config(num_threads=1, scale=16)\n"
+            "print(registry.backends.names())\n"
+            "print(type(build_core(('mcf',), cfg)).__name__)\n"
+            "from repro.cli import main\n"
+            "main(['list', 'backends'])\n")
+        env = dict(os.environ, REPRO_CEXT="0")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        lines = out.stdout.splitlines()
+        assert lines[0] == "('object',)"
+        assert lines[1] == "SMTCore"
+        assert any(line.startswith("  object") and "[default]" in line
+                   for line in lines)
+        assert "  (cext unavailable: disabled by REPRO_CEXT=0)" in lines
 
     def test_registered_backend_selects_its_core(self, fake_backend):
         assert core_for(make_policy("mlp_flush"), fake_backend) is _FakeCore
@@ -141,18 +208,24 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             _spec(backend=7)
 
+    def test_unpinned_is_the_default(self):
+        assert _spec().backend is None
+        assert JobSpec.from_runspec(_spec()).backend is None
+
 
 class TestSerialization:
     def test_default_backend_serializes_away(self):
+        # Unpinned writes no key; a pin, even to ``object``, is written.
         doc = _spec().to_doc()
         assert doc["schema"] == "repro.runspec/2"
         assert "backend" not in doc
+        assert _spec(backend="object").to_doc()["backend"] == "object"
 
     def test_non_default_backend_serializes(self, fake_backend):
         doc = _spec(backend=fake_backend).to_doc()
         assert doc["backend"] == "fake"
 
-    @pytest.mark.parametrize("backend", ["object", "fake"])
+    @pytest.mark.parametrize("backend", ["object", "fake", None])
     def test_json_roundtrip(self, backend, fake_backend):
         spec = _spec(backend=backend)
         again = RunSpec.from_json(spec.to_json())
@@ -160,11 +233,14 @@ class TestSerialization:
         assert again.backend == backend
 
     def test_v1_document_still_loads(self):
+        # A v1 document predates the field and loads unpinned, hashing
+        # exactly as it always did.
         doc = _spec().to_doc()
         doc["schema"] = "repro.runspec/1"
         spec = RunSpec.from_doc(doc)
         assert spec == _spec()
-        assert spec.backend == "object"
+        assert spec.backend is None
+        assert spec.content_hash() == TestHashStability._PINNED
 
     def test_v1_document_with_backend_refused(self, fake_backend):
         # A /1-stamped doc carrying the /2-only field is mis-stamped,
@@ -176,34 +252,33 @@ class TestSerialization:
 
     def test_str_names_non_default_backend(self, fake_backend):
         assert str(_spec()).endswith("@800")
+        assert str(_spec(backend="object")).endswith("@800+object")
         assert str(_spec(backend=fake_backend)).endswith("@800+fake")
 
 
 class TestHashStability:
     #: ``_spec()``'s content hash under the pre-backend (PR 6) scheme.
-    #: The default backend must keep producing exactly this value —
-    #: warm result stores and committed hashes must survive the /2 bump.
+    #: An unpinned spec must keep producing exactly this value — warm
+    #: result stores and committed hashes must survive the default
+    #: engine's change.
     _PINNED = ("00e1f993ce0ccb4ff30e7ff366a60e25"
                "277d1f5f43e52911df092b62e7f445a0")
 
     def test_default_backend_hash_unchanged(self):
         assert _spec().content_hash() == self._PINNED
 
-    def test_non_default_backend_changes_the_hash(self, fake_backend):
-        # The engines are bit-identical by contract, but caching another
-        # backend's run under the object key would mask an equivalence
-        # regression.
-        assert _spec(backend=fake_backend).content_hash() != self._PINNED
+    def test_backend_leaves_the_hash_unchanged(self, fake_backend):
+        # The engines are bit-identical (the golden matrix and the
+        # differential tests hold them to it), so which one runs is an
+        # execution choice: a pinned spec shares the unpinned result.
+        for backend in ("object", fake_backend):
+            assert _spec(backend=backend).content_hash() == self._PINNED
 
     @needs_cext
-    def test_cext_hash_is_its_own_and_stable(self, fake_backend):
-        # Its own cache key (never aliases another backend's results)
-        # and a pure function of the spec document — the toolchain,
-        # compiler version, and probe outcome must not leak into it.
-        h = _spec(backend="cext").content_hash()
-        assert h != self._PINNED
-        assert h != _spec(backend=fake_backend).content_hash()
-        assert h == _spec(backend="cext").content_hash()
+    def test_cext_pin_shares_the_unpinned_hash(self):
+        # Neither the pin nor the toolchain, compiler version or probe
+        # outcome leaks into the key.
+        assert _spec(backend="cext").content_hash() == self._PINNED
 
     @pytest.mark.parametrize("backend", ["object", "fake"])
     def test_content_hash_matches_jobspec_cache_key(self, backend,
@@ -288,19 +363,21 @@ class TestRetiredSoaBackend:
 
 
 class TestExecutionEquivalence:
-    def _small(self, backend):
+    def _small(self, backend=None):
         return RunSpec(workload=("mcf", "swim"), config=CFG2,
                        policy="mlp_flush", max_commits=600, warmup=200,
                        backend=backend)
 
     @needs_cext
     def test_simulate_is_backend_independent(self):
+        # Unpinned runs the default (cext here); the object pin still
+        # runs the object engine, with identical results.
         stats_o, core_o = Session(store=None).simulate(self._small("object"))
-        stats_c, core_c = Session(store=None).simulate(self._small("cext"))
+        stats_d, core_d = Session(store=None).simulate(self._small())
         assert type(core_o) is SMTCore
-        assert type(core_c) is CextCore
-        assert stats_o == stats_c
-        assert core_o.cycle == core_c.cycle
+        assert type(core_d) is CextCore
+        assert stats_o == stats_d
+        assert core_o.cycle == core_d.cycle
 
     @needs_cext
     def test_scored_run_is_backend_independent(self, tmp_path,
@@ -308,14 +385,15 @@ class TestExecutionEquivalence:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         session = Session()
         r_obj = session.run(self._small("object"))
+        assert session.last_report.executed == 3    # 2 baselines + 1 run
         r_cext = session.run(self._small("cext"))
         assert r_obj.stp == r_cext.stp
         assert r_obj.antt == r_cext.antt
         assert r_obj.ipcs == r_cext.ipcs
-        # The single-thread baselines carry no backend, so the cext run
-        # reuses the object run's cached CPI_ST cells.
-        assert session.last_report.baselines_cached == 2
-        assert session.last_report.baselines_executed == 0
+        # The backend is not part of the key: the cext-pinned spec is
+        # the same experiment and is served from the store.
+        assert session.last_report.cache_hits == 1
+        assert session.last_report.executed == 0
 
     @needs_cext
     def test_iter_intervals_is_backend_independent(self):
@@ -326,3 +404,49 @@ class TestExecutionEquivalence:
                                               every=200))
         assert snaps_o == snaps_c
         assert snaps_o[-1].done
+
+
+class TestRelease:
+    """A finished core its caller discards is freed by reference
+    counting, without waiting for the cyclic collector."""
+
+    @staticmethod
+    def _live_cores() -> int:
+        return sum(issubclass(type(o), SMTCore) for o in gc.get_objects())
+
+    def _surviving_cores(self, fn) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            before = self._live_cores()
+            fn()
+            return self._live_cores() - before
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _run(backend, release):
+        core = build_core(("mcf", "swim"), CFG2, "mlp_flush",
+                          backend=backend)
+        core.run(600, warmup=200)
+        if release:
+            core.release()
+
+    @pytest.mark.parametrize("backend", registry.backends.names())
+    def test_release_breaks_the_cycles(self, backend):
+        assert self._surviving_cores(lambda: self._run(backend, True)) == 0
+        # The control: unreleased, the cycles keep the core alive.
+        assert self._surviving_cores(lambda: self._run(backend, False)) == 1
+
+    def test_callers_that_discard_cores_release_them(self):
+        cfg1 = scaled_config(num_threads=1, scale=16)
+
+        def discard():
+            run_jobs([JobSpec.workload(("mcf", "swim"), CFG2, "mlp_flush",
+                                       600, warmup=200)],
+                     workers=1, store=None)
+            run_single("mcf", cfg1, 600, warmup=200)
+            clear_profile_cache()
+            profile_benchmark("mcf", cfg1, max_commits=600)
+            clear_profile_cache()
+        assert self._surviving_cores(discard) == 0

@@ -10,6 +10,14 @@ tier-1 fast.  Hypothesis tries the simplest example first, and each
 policy's strategies are rotated to start from a different corner of the
 space, so the first cases alone cover every thread count, ROB size,
 latency and seed; the second case per policy is random.
+
+The single-thread paths behind the paper's baselines and Table I are
+compared the same way: :func:`~repro.experiments.runner.simulate_baseline`
+(stats and the per-commit cycle stamps CPI_ST is read from) and
+:func:`~repro.experiments.profile.profile_benchmark` (the whole
+:class:`~repro.experiments.profile.ProfileResult`: MLP distances,
+predictor accuracies, stats), each on a burst-kernel program and on a
+program that misses steadily.
 """
 
 from __future__ import annotations
@@ -20,8 +28,18 @@ import pytest
 
 from conftest import needs_cext
 from repro import registry
-from repro.config import scaled_config, with_memory_latency, with_window_size
-from repro.experiments.runner import build_core
+from repro.config import (
+    scaled_config,
+    single_thread_variant,
+    with_memory_latency,
+    with_window_size,
+)
+from repro.experiments import runner
+from repro.experiments.profile import clear_profile_cache, profile_benchmark
+from repro.experiments.runner import build_core, simulate_baseline
+from repro.pipeline import SMTCore
+from repro.pipeline.cext import CextCore
+from repro.policies import make_policy
 
 POLICIES = tuple(name for name, cls in registry.policies.items()
                  if cls.core_class is None)
@@ -60,3 +78,48 @@ def test_object_and_cext_stats_agree(policy, data):
     assert stats("cext") == stats("object"), (
         f"{policy} {threads}t rob={rob} mem={latency} seed={seed} "
         f"{names} @{commits}: engines diverged")
+
+
+#: vortex runs a burst kernel (a miss cluster every 20 iterations); mcf
+#: misses steadily, with no bursts.
+SINGLE_THREAD_PROGRAMS = ("vortex", "mcf")
+_ENGINE_CORES = {"object": SMTCore, "cext": CextCore}
+
+
+@pytest.fixture
+def default_engine(monkeypatch):
+    """Point unpinned runs (baselines, profiles) at one engine."""
+    def use(backend):
+        monkeypatch.setattr(runner, "default_backend", lambda: backend)
+        assert runner.core_for(make_policy("icount")) \
+            is _ENGINE_CORES[backend]
+    return use
+
+
+@needs_cext
+@pytest.mark.parametrize("name", SINGLE_THREAD_PROGRAMS)
+def test_baseline_agrees(name, default_engine):
+    cfg = single_thread_variant(scaled_config(num_threads=2, scale=16))
+
+    def baseline(backend):
+        default_engine(backend)
+        return simulate_baseline(name, cfg, 1500, warmup=300, seed=1)
+
+    obj, cext = baseline("object"), baseline("cext")
+    assert len(obj.commit_cycles) >= 1500
+    assert cext.commit_cycles == obj.commit_cycles
+    assert cext.stats == obj.stats
+
+
+@needs_cext
+@pytest.mark.parametrize("name", SINGLE_THREAD_PROGRAMS)
+def test_profile_agrees(name, default_engine):
+    def profile(backend):
+        default_engine(backend)
+        clear_profile_cache()
+        return profile_benchmark(name, max_commits=2000)
+
+    obj, cext = profile("object"), profile("cext")
+    clear_profile_cache()
+    assert obj.mlp_distances
+    assert cext == obj

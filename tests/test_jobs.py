@@ -92,6 +92,43 @@ class TestJobSpec:
         assert CFG.cache_key() != scaled_config(num_threads=4,
                                                 scale=16).cache_key()
 
+    def test_keys_are_memoized_and_unchanged(self, monkeypatch):
+        # Memoizing must not move a single key: these literals are the
+        # keys the unmemoized hashing produced.
+        from repro.jobs import spec as spec_mod
+        calls = []
+        real = spec_mod.content_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(spec_mod, "content_key", counting)
+        cfg = scaled_config(num_threads=2, scale=16)
+        work = JobSpec.workload(("mcf", "twolf"), cfg, "flush", COMMITS,
+                                warmup=WARMUP)
+        base = JobSpec.baseline("mcf", cfg, COMMITS, warmup=WARMUP)
+        for _ in range(3):
+            assert cfg.cache_key() == (
+                "8d106d5390f5d5d7078e7b116e439fe9"
+                "e868c58305f1cd72698c750751320219")
+            assert work.cache_key() == (
+                "5bde9e5d976e765cda4e29dde7b70cd2"
+                "cd68be60862f14b1a1c6cc517f95426c")
+            assert base.cache_key() == (
+                "80912b1d2d49e3b30963b6f4a06bd651"
+                "cb5b169bdf8361ae776e7830b218ca41")
+        assert calls == ["workload", "baseline"]
+
+    def test_config_memo_is_invisible(self):
+        from dataclasses import asdict, replace
+        import pickle
+        cfg = scaled_config(num_threads=2, scale=16)
+        key = cfg.cache_key()
+        assert "_cache_key" not in asdict(cfg)
+        assert cfg == scaled_config(num_threads=2, scale=16)
+        assert replace(cfg, rob_size=128).cache_key() != key
+        assert pickle.loads(pickle.dumps(cfg)).cache_key() == key
+
 
 class TestResultStore:
     def test_workload_roundtrip(self, tmp_path):

@@ -1,8 +1,9 @@
 """The REPRO_SANITIZE runtime sanitizer: wiring, exactness, detection.
 
 Pins the three contracts of :mod:`repro.pipeline.sanitize`: the env
-knob swaps the checked engine subclasses in through ``core_for`` (and
-only then — off means the module is not even imported); a sanitized
+knob swaps the checked subclass of whichever engine ``core_for``
+resolved (and only then — off means the module is not even imported);
+a sanitized
 run is bit-exact with a stock one on both backends, and a sanitized
 ``cext`` run executes the compiled loop; and the checks actually fire —
 planted double-frees, a record mutated while pooled, a slot mutated
@@ -15,8 +16,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import needs_cext
+from repro import registry
 from repro.config import scaled_config
-from repro.experiments.runner import core_for, trace_for
+from repro.experiments.runner import core_for, default_backend, trace_for
 from repro.pipeline import cext as cext_mod
 from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
@@ -48,22 +50,30 @@ def _run(core_cls, commits=1_500):
     return core, stats
 
 
+def _default_core() -> type:
+    return registry.backends.get(default_backend())
+
+
 class TestWiring:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert not sanitize_enabled()
-        assert core_for(make_policy("icount")) is SMTCore
+        assert core_for(make_policy("icount")) is _default_core()
+        assert core_for(make_policy("icount"), "object") is SMTCore
 
     def test_env_selects_checked_cores(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert sanitize_enabled()
-        assert core_for(make_policy("icount")) is CheckedSMTCore
+        assert core_for(make_policy("icount")) \
+            is checked_variant(_default_core())
+        assert core_for(make_policy("icount"), "object") is CheckedSMTCore
         assert checked_variant(CextCore) is CheckedCextCore
 
     def test_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         assert not sanitize_enabled()
-        assert core_for(make_policy("icount")) is SMTCore
+        assert core_for(make_policy("icount")) is _default_core()
+        assert core_for(make_policy("icount"), "object") is SMTCore
 
     def test_specialized_cores_bypass(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

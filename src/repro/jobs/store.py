@@ -169,8 +169,10 @@ class ResultStore:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            # One-shot ``dumps`` runs the C encoder; ``dump`` streams
+            # through the pure-Python one.  The bytes are identical.
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
+                fh.write(json.dumps(entry, separators=(",", ":")))
             os.replace(tmp, path)
             return True
         except OSError:

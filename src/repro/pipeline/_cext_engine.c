@@ -6,8 +6,10 @@
  * (repro/pipeline/cext.py): the column lists, the event wheels, the
  * ready heaps and the ThreadState slots stay ordinary Python objects and
  * the single source of truth, and this module reads/writes them through
- * the C API.  Policy hooks and CextCore.flush_thread re-enter Python
- * mid-stage on exactly that state; the golden matrix pins the result
+ * the C API.  Policy hooks, the memory hierarchy and CextCore.flush_thread
+ * re-enter Python mid-stage on exactly that state; trace generation, the
+ * fast-forward probe, the LLSR's zero advances and the policy-stall
+ * check run here.  The golden matrix pins the result
  * bit-exact to the object engine, and REPRO_SANITIZE=1 drives this loop
  * in per-commit chunks with the arena checks in between.
  *
@@ -17,9 +19,10 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <limits.h>
 #include <string.h>
 
-#define CEXT_API_VERSION 2
+#define CEXT_API_VERSION 3
 
 /* Flag bits: must mirror repro/pipeline/dyninstr.py (verified in setup). */
 #define F_IN_IQ (1 << 0)
@@ -47,9 +50,18 @@
 #define SLOT_SHIFT 20
 #define SLOT_MASK ((1LL << SLOT_SHIFT) - 1)
 
+/* Trace-row kinds: must mirror repro/workloads/trace.py (verified in
+ * setup). */
+#define ROW_LINEAR 0
+#define ROW_HASHED 1
+#define ROW_BURST 2
+#define ROW_BRANCH 3
+#define ROW_FIELDS 10
+
 #define SMALL_INT_LIMIT 65536
 #define MAX_THREADS 256
 #define MAX_SRCS 64
+#define MAX_INSTR_SLOTS 32
 
 /* ------------------------------------------------------------------ */
 /* resolved member offsets                                             */
@@ -100,7 +112,11 @@ typedef struct {
         ts_dispatch_blocked_epoch, ts_dispatch_wait_until;
     Py_ssize_t ts_trace_get, ts_fe_append, ts_lll_predict, ts_pc_origin,
         ts_llsr_commit, ts_llsr_commit_zeros, ts_trace_static,
-        ts_trace_body_len, ts_llsr_zeros, ts_trace_flags, ts_lll_pred;
+        ts_trace_body_len, ts_llsr_zeros, ts_trace_flags, ts_lll_pred,
+        ts_trace_rows, ts_llsr, ts_policy_stalled_flag;
+    /* LLSR */
+    Py_ssize_t llsr_length, llsr_filled, llsr_total, llsr_last_one_total,
+        llsr_head, llsr_bits;
     /* ThreadStats */
     Py_ssize_t st_fetched, st_committed, st_loads_executed, st_ll_loads,
         st_branch_stall_cycles, st_lll_pred_loads, st_lll_pred_correct,
@@ -121,13 +137,18 @@ typedef struct {
     Offsets off;
     PyObject *view_cls;     /* SoAView */
     PyObject *limit_exc;    /* SimulationLimitExceeded */
+    PyObject *deadlock_exc; /* SimulationDeadlock */
+    PyTypeObject *instr_type; /* Instr (trace-row prototypes) */
+    PyTypeObject *llsr_type;  /* LLSR (exact type: zero advances in C) */
+    /* every Instr slot, for the prototype clone */
+    Py_ssize_t instr_slots[MAX_INSTR_SLOTS];
+    int n_instr_slots;
     PyObject *l1_level;     /* ServiceLevel.L1 (identity compare) */
     PyObject *small_ints[SMALL_INT_LIMIT];
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
     PyObject *s_append, *s_popleft, *s_update, *s_lookup, *s_insert,
-        *s_train, *s_on_ll_detect, *s_soa_grow, *s_next_cycle,
-        *s_sync_policy_stall;
+        *s_train, *s_on_ll_detect, *s_soa_grow, *s_sync_policy_stall;
 } Globals;
 
 static Globals g;
@@ -884,6 +905,59 @@ static int commit_try_free(Ctx *c, long long p, PyObject *ll_owners)
     return rc;
 }
 
+/* LLSR.commit_zeros(k) for the thread's staged zero run, on the LLSR's
+ * slots: while the register is still filling, zeros land on pristine
+ * entries; after that, when none of the (at most `length`) entries the
+ * advance shifts out is a 1, the advance is a head/total bump (a 0 entry
+ * always holds (0, -1), and the zero shifted in reuses the slot).  Only
+ * when a 1 exits the head, whose measurement must fire in order, does
+ * the Python method run. */
+static int llsr_zeros(PyObject *ts, long long k)
+{
+    PyObject *llsr = SLOT(ts, OFF.ts_llsr);
+    if (Py_TYPE(llsr) == g.llsr_type) {
+        long long length = slot_ll(llsr, OFF.llsr_length);
+        long long filled = slot_ll(llsr, OFF.llsr_filled);
+        long long total = slot_ll(llsr, OFF.llsr_total);
+        if (filled < length) {
+            long long take = length - filled < k ? length - filled : k;
+            total += take;
+            k -= take;
+            if (slot_store_ll(llsr, OFF.llsr_filled, filled + take) < 0
+                || slot_store_ll(llsr, OFF.llsr_total, total) < 0)
+                return -1;
+            if (!k)
+                return 0;
+        }
+        long long head = slot_ll(llsr, OFF.llsr_head);
+        int exits_one = 0;
+        if (slot_ll(llsr, OFF.llsr_last_one_total) + length > total) {
+            /* a 1 is in the live window: does it reach the head? */
+            PyObject *bits = SLOT(llsr, OFF.llsr_bits);
+            long long n = k < length ? k : length;
+            for (long long j = 0; j < n && !exits_one; j++)
+                exits_one = lget_ll(bits, (head + j) % length) != 0;
+        }
+        if (!exits_one) {
+            if (slot_store_ll(llsr, OFF.llsr_total, total + k) < 0
+                || slot_store_ll(llsr, OFF.llsr_head,
+                                 (head + k) % length) < 0)
+                return -1;
+            return 0;
+        }
+    }
+    PyObject *kb = box_ll(k);
+    if (kb == NULL)
+        return -1;
+    PyObject *r = PyObject_CallOneArg(SLOT(ts, OFF.ts_llsr_commit_zeros),
+                                      kb);
+    Py_DECREF(kb);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
 static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
 {
     PyObject *core = c->core;
@@ -1052,17 +1126,9 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             if (fl & F_IS_LL) {
                 long long z = slot_ll(ts, OFF.ts_llsr_zeros);
                 if (z) {
-                    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0)
+                    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
+                        || llsr_zeros(ts, z) < 0)
                         return -1;
-                    PyObject *zb = box_ll(z);
-                    if (zb == NULL)
-                        return -1;
-                    PyObject *r = PyObject_CallOneArg(
-                        SLOT(ts, OFF.ts_llsr_commit_zeros), zb);
-                    Py_DECREF(zb);
-                    if (r == NULL)
-                        return -1;
-                    Py_DECREF(r);
                 }
                 PyObject *args[3] = {Py_True, SLOT(instr, OFF.in_pc),
                                      dependent ? Py_True : Py_False};
@@ -1125,17 +1191,9 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             PyObject *ts = seq_item(order, oi);
             long long z = slot_ll(ts, OFF.ts_llsr_zeros);
             if (z) {
-                if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0)
+                if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
+                    || llsr_zeros(ts, z) < 0)
                     return -1;
-                PyObject *zb = box_ll(z);
-                if (zb == NULL)
-                    return -1;
-                PyObject *r = PyObject_CallOneArg(
-                    SLOT(ts, OFF.ts_llsr_commit_zeros), zb);
-                Py_DECREF(zb);
-                if (r == NULL)
-                    return -1;
-                Py_DECREF(r);
             }
         }
         if (slot_store_ll(core, OFF.committed_watermark, watermark) < 0
@@ -1761,6 +1819,114 @@ static long long instr_flags_c(PyObject *instr)
     return flags;
 }
 
+/* ------------------------------------------------------------------ */
+/* trace rows (repro.workloads.trace.SyntheticTrace._row / get)        */
+/* ------------------------------------------------------------------ */
+
+/* repro.util.mix64_step: unsigned wrap-around is mix64's 64-bit mask. */
+static inline unsigned long long mix64_step(unsigned long long h,
+                                            unsigned long long key)
+{
+    h += key;
+    h ^= h >> 30;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 27;
+    h *= 0x94D049BB133111EBULL;
+    h ^= h >> 31;
+    return h;
+}
+
+/* A row's integer field; 0 when it does not fit a long long. */
+static inline int row_ll(PyObject *row, Py_ssize_t i, long long *out)
+{
+    long long v = PyLong_AsLongLong(PyTuple_GET_ITEM(row, i));
+    if (v == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return 0;
+    }
+    *out = v;
+    return 1;
+}
+
+/* trace._from_proto: a fresh Instr sharing every slot of `proto` but
+ * addr (a stolen reference) and taken. */
+static PyObject *clone_instr(PyObject *proto, PyObject *addr, int taken)
+{
+    PyObject *ins = g.instr_type->tp_alloc(g.instr_type, 0);
+    if (ins == NULL) {
+        Py_DECREF(addr);
+        return NULL;
+    }
+    for (int i = 0; i < g.n_instr_slots; i++) {
+        PyObject *v = SLOT(proto, g.instr_slots[i]);
+        Py_XINCREF(v);
+        *(PyObject **)((char *)ins + g.instr_slots[i]) = v;
+    }
+    slot_store(ins, OFF.in_addr, addr);
+    slot_store_bool(ins, OFF.in_taken, taken);
+    return ins;
+}
+
+/* SyntheticTrace.get(index) for an iteration-varying slot, from its
+ * row.  Returns a new reference; NULL with no exception set when a
+ * value does not fit 64 bits, so the caller asks trace.get, whose
+ * Python ints cannot overflow. */
+static PyObject *row_instr(PyObject *row, long long index, long long body_len)
+{
+    if (!PyTuple_CheckExact(row) || PyTuple_GET_SIZE(row) != ROW_FIELDS)
+        return NULL;
+    PyObject *proto = PyTuple_GET_ITEM(row, 1);
+    long long kind, a, b, k, m, l, every, x, addr;
+    if (Py_TYPE(proto) != g.instr_type || !row_ll(row, 0, &kind)
+        || !row_ll(row, 2, &a) || !row_ll(row, 3, &b)
+        || !row_ll(row, 4, &k) || !row_ll(row, 5, &m)
+        || !row_ll(row, 6, &l) || !row_ll(row, 7, &every)
+        || m <= 0 || every <= 0)
+        return NULL;
+    long long iteration = index / body_len;
+    if (kind == ROW_LINEAR) {
+        /* a + ((b + k * (iteration // every)) % m) * l */
+        if (__builtin_mul_overflow(k, iteration / every, &x)
+            || __builtin_add_overflow(b, x, &x))
+            return NULL;
+        x %= m;
+        if (x < 0)
+            x += m;     /* Python's floor modulo */
+    } else if (kind == ROW_BURST && iteration % every) {
+        if (!row_ll(row, 9, &addr))
+            return NULL;
+        goto box;
+    } else {
+        unsigned long long h0 =
+            PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(row, 8));
+        if (h0 == (unsigned long long)-1 && PyErr_Occurred()) {
+            PyErr_Clear();
+            return NULL;
+        }
+        unsigned long long h = mix64_step(h0, (unsigned long long)iteration);
+        if (kind == ROW_BRANCH) {
+            PyObject *alt = PyTuple_GET_ITEM(row, 9);
+            if (!PyFloat_CheckExact(alt))
+                return NULL;
+            Py_INCREF(Py_None);
+            /* (double)h rounds to nearest-even, like Python's int/float */
+            return clone_instr(proto, Py_None,
+                               (double)h / 18446744073709551616.0
+                                   < PyFloat_AS_DOUBLE(alt));
+        }
+        if (kind != ROW_HASHED && kind != ROW_BURST)
+            return NULL;
+        x = (long long)(h % (unsigned long long)m);
+    }
+    if (__builtin_mul_overflow(x, l, &x) || __builtin_add_overflow(a, x, &addr))
+        return NULL;
+box:;
+    PyObject *addr_obj = box_ll(addr);
+    if (addr_obj == NULL)
+        return NULL;
+    return clone_instr(proto, addr_obj, 0);
+}
+
 /* One thread's fetch burst; returns the fetch count, or -1 on error. */
 static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                                 long long cycle, PyObject *cycle_obj,
@@ -1769,6 +1935,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     PyObject *core = c->core;
     PyObject *trace_get = SLOT(ts, OFF.ts_trace_get);
     PyObject *trace_static = SLOT(ts, OFF.ts_trace_static);
+    PyObject *trace_rows = SLOT(ts, OFF.ts_trace_rows);
     PyObject *trace_flags = SLOT(ts, OFF.ts_trace_flags);
     long long body_len = slot_ll(ts, OFF.ts_trace_body_len);
     long long pc_origin = slot_ll(ts, OFF.ts_pc_origin);
@@ -1794,26 +1961,27 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         long long fetch_index = slot_ll(ts, OFF.ts_fetch_index);
         if (!ignore_stall && has_allowed && fetch_index > allowed_end)
             break;
-        PyObject *instr;
-        PyObject *instr_ref = NULL;   /* owned when trace_get was called */
-        long long flags;
+        /* the static instruction, or one built from the slot's row;
+         * trace.get for duck-typed traces and rows that overflow */
+        PyObject *instr = Py_None;
+        PyObject *instr_ref = NULL;   /* owned when built or fetched */
+        long long flags = -1;
         if (trace_static != Py_None) {
             Py_ssize_t i = (Py_ssize_t)(fetch_index % body_len);
             instr = PyList_GET_ITEM(trace_static, i);
-            if (instr == Py_None) {
-                PyObject *fi = box_ll(fetch_index);
-                if (fi == NULL)
+            PyObject *fo = PyList_GET_ITEM(trace_flags, i);
+            if (fo != Py_None)
+                flags = ll_of(fo);
+            if (instr == Py_None && trace_rows != Py_None) {
+                instr_ref = row_instr(PyList_GET_ITEM(trace_rows, i),
+                                      fetch_index, body_len);
+                if (instr_ref != NULL)
+                    instr = instr_ref;
+                else if (PyErr_Occurred())
                     goto fail;
-                instr_ref = PyObject_CallOneArg(trace_get, fi);
-                Py_DECREF(fi);
-                if (instr_ref == NULL)
-                    goto fail;
-                instr = instr_ref;
-                flags = instr_flags_c(instr);
-            } else {
-                flags = lget_ll(trace_flags, i);
             }
-        } else {
+        }
+        if (instr == Py_None) {
             PyObject *fi = box_ll(fetch_index);
             if (fi == NULL)
                 goto fail;
@@ -1822,8 +1990,9 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             if (instr_ref == NULL)
                 goto fail;
             instr = instr_ref;
-            flags = instr_flags_c(instr);
         }
+        if (flags < 0)
+            flags = instr_flags_c(instr);
         long long pc_addr = pc_origin + slot_ll(instr, OFF.in_pc) * 4;
         long long line = pc_addr >> c->line_shift;
         if (line != slot_ll(ts, OFF.ts_last_ifetch_line)) {
@@ -2018,7 +2187,11 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                 goto fail;
         }
     }
-    {
+    /* ThreadState._sync_policy_stall acts only on a transition of the
+     * stall predicate, so it is called only then. */
+    ae = SLOT(ts, OFF.ts_allowed_end);
+    if ((ae != Py_None && slot_ll(ts, OFF.ts_fetch_index) > ll_of(ae))
+        != slot_true(ts, OFF.ts_policy_stalled_flag)) {
         PyObject *sargs[1] = {cycle_obj};
         PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
         if (r == NULL)
@@ -2048,6 +2221,69 @@ static long long compute_fetch_wake(Ctx *c, long long cycle)
             wake = blocked_until;
     }
     return wake;
+}
+
+/* SMTCore._next_cycle over the slot columns: the earliest future cycle
+ * at which anything can happen (step() has established that nothing can
+ * fetch or issue at cycle + 1), or -1 with SimulationDeadlock set when
+ * nothing can.  Skipped policy-stall cycles are covered by the open
+ * stall intervals. */
+static long long next_cycle_c(Ctx *c, long long cycle)
+{
+    long long nxt = cycle + 1;
+    long long target = LLONG_MAX;
+    int wb_full = slot_ll(c->core, OFF.wb_used) >= c->wb_entries;
+    Py_ssize_t nt = PyTuple_GET_SIZE(c->threads);
+    for (Py_ssize_t i = 0; i < nt; i++) {
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+        /* _head_retirable: a completed head can retire next cycle unless
+         * it is a store facing a full write buffer */
+        PyObject *window = SLOT(ts, OFF.ts_window);
+        Py_ssize_t n = deq_len(window);
+        if (n < 0)
+            return -1;
+        if (n > 0) {
+            long long h = deq_peek0_ll(window);
+            if (h < 0)
+                return -1;
+            long long fl = lget_ll(c->col_flags, h);
+            if ((fl & F_COMPLETED) && (!(fl & F_IS_STORE) || !wb_full))
+                return nxt;
+        }
+        PyObject *fe = SLOT(ts, OFF.ts_fe_queue);
+        n = deq_len(fe);
+        if (n < 0)
+            return -1;
+        if (n > 0) {
+            long long h = deq_peek0_ll(fe);
+            if (h < 0)
+                return -1;
+            long long head_ready = lget_ll(c->col_fe_ready, h);
+            if (head_ready <= nxt)
+                return nxt;
+            if (head_ready < target)
+                target = head_ready;
+        }
+        long long blocked_until = slot_ll(ts, OFF.ts_fetch_blocked_until);
+        if (blocked_until > nxt && blocked_until < target)
+            target = blocked_until;
+    }
+    PyObject *heaps[6] = {c->ev_marks, c->ev_over, c->dt_marks, c->dt_over,
+                          c->wb_marks, c->wb_over};
+    for (int i = 0; i < 6; i++) {
+        if (PyList_GET_SIZE(heaps[i]) > 0) {
+            long long when = heap_min_key(heaps[i]);
+            if (when < target)
+                target = when;
+        }
+    }
+    if (target == LLONG_MAX) {
+        PyErr_Format(g.deadlock_exc,
+                     "no future events at cycle %lld; pipeline is wedged",
+                     cycle);
+        return -1;
+    }
+    return target <= nxt ? nxt : target;
 }
 
 /* The ``policy_fetch_order(cycle)`` fetch path (shared by the base
@@ -2384,15 +2620,9 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
             }
             goto advanced;
         next_event:
-            {
-                PyObject *nargs1[1] = {cycle_obj};
-                PyObject *r = call_method(core, g.s_next_cycle,
-                                          nargs1, 1);
-                if (r == NULL)
-                    goto fail_cycle;
-                nxt = ll_of(r);
-                slot_store(core, OFF.cycle, r);   /* steals r */
-            }
+            nxt = next_cycle_c(c, cycle);
+            if (nxt < 0 || slot_store_ll(core, OFF.cycle, nxt) < 0)
+                goto fail_cycle;
         advanced:
             Py_DECREF(cycle_obj);
             if (slot_ll(core, OFF.committed_watermark) >= max_commits) {
@@ -2531,6 +2761,12 @@ static const struct OffSpec SPECS[] = {
     O("ts", "llsr_zeros", ts_llsr_zeros),
     O("ts", "trace_flags", ts_trace_flags),
     O("ts", "lll_pred", ts_lll_pred),
+    O("ts", "trace_rows", ts_trace_rows), O("ts", "llsr", ts_llsr),
+    O("ts", "policy_stalled_flag", ts_policy_stalled_flag),
+    O("llsr", "length", llsr_length), O("llsr", "_filled", llsr_filled),
+    O("llsr", "_total", llsr_total),
+    O("llsr", "_last_one_total", llsr_last_one_total),
+    O("llsr", "_head", llsr_head), O("llsr", "_bits", llsr_bits),
     O("stats", "fetched", st_fetched), O("stats", "committed", st_committed),
     O("stats", "loads_executed", st_loads_executed),
     O("stats", "ll_loads", st_ll_loads),
@@ -2571,11 +2807,52 @@ static const struct {
     {"F_INV", F_INV}, {"F_LL_DEP", F_LL_DEP}, {"F_RETIRED", F_RETIRED},
     {"F_IN_DETECTS", F_IN_DETECTS}, {"F_FREED", F_FREED},
     {"SLOT_SHIFT", SLOT_SHIFT},
+    {"ROW_LINEAR", ROW_LINEAR}, {"ROW_HASHED", ROW_HASHED},
+    {"ROW_BURST", ROW_BURST}, {"ROW_BRANCH", ROW_BRANCH},
 };
 
 static PyObject *intern_or_null(const char *s)
 {
     return PyUnicode_InternFromString(s);
+}
+
+/* The offset of every slot in instr.__slots__ (the prototype clone
+ * copies them all, so a new Instr slot cannot be missed). */
+static int resolve_instr_slots(PyObject *instr)
+{
+    PyObject *names = PyObject_GetAttrString(instr, "__slots__");
+    if (names == NULL)
+        return -1;
+    PyObject *fast = PySequence_Fast(names, "Instr.__slots__");
+    Py_DECREF(names);
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    if (n > MAX_INSTR_SLOTS) {
+        Py_DECREF(fast);
+        PyErr_SetString(PyExc_ValueError, "setup(): too many Instr slots");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *descr = PyObject_GetAttr(
+            instr, PySequence_Fast_GET_ITEM(fast, i));
+        if (descr == NULL) {
+            Py_DECREF(fast);
+            return -1;
+        }
+        if (!PyObject_TypeCheck(descr, &PyMemberDescr_Type)) {
+            Py_DECREF(descr);
+            Py_DECREF(fast);
+            PyErr_SetString(PyExc_TypeError,
+                            "setup(): an Instr slot is not a member");
+            return -1;
+        }
+        g.instr_slots[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
+        Py_DECREF(descr);
+    }
+    Py_DECREF(fast);
+    g.n_instr_slots = (int)n;
+    return 0;
 }
 
 static PyObject *setup(PyObject *self, PyObject *ns)
@@ -2632,18 +2909,34 @@ static PyObject *setup(PyObject *self, PyObject *ns)
     }
     PyObject *view_cls = PyDict_GetItemString(ns, "view_cls");
     PyObject *limit_exc = PyDict_GetItemString(ns, "limit_exc");
+    PyObject *deadlock_exc = PyDict_GetItemString(ns, "deadlock_exc");
     PyObject *l1_level = PyDict_GetItemString(ns, "l1_level");
-    if (view_cls == NULL || limit_exc == NULL || l1_level == NULL) {
-        PyErr_SetString(PyExc_KeyError,
-                        "setup(): missing view_cls/limit_exc/l1_level");
+    PyObject *instr = PyDict_GetItemString(ns, "instr");
+    PyObject *llsr = PyDict_GetItemString(ns, "llsr");
+    if (view_cls == NULL || limit_exc == NULL || deadlock_exc == NULL
+        || l1_level == NULL) {
+        PyErr_SetString(PyExc_KeyError, "setup(): missing view_cls/"
+                        "limit_exc/deadlock_exc/l1_level");
         return NULL;
     }
+    if (!PyType_Check(instr) || !PyType_Check(llsr)) {
+        PyErr_SetString(PyExc_TypeError, "setup(): instr/llsr not types");
+        return NULL;
+    }
+    if (resolve_instr_slots(instr) < 0)
+        return NULL;
     Py_INCREF(view_cls);
     Py_XSETREF(g.view_cls, view_cls);
     Py_INCREF(limit_exc);
     Py_XSETREF(g.limit_exc, limit_exc);
+    Py_INCREF(deadlock_exc);
+    Py_XSETREF(g.deadlock_exc, deadlock_exc);
     Py_INCREF(l1_level);
     Py_XSETREF(g.l1_level, l1_level);
+    Py_INCREF(instr);
+    Py_XSETREF(g.instr_type, (PyTypeObject *)instr);
+    Py_INCREF(llsr);
+    Py_XSETREF(g.llsr_type, (PyTypeObject *)llsr);
     /* small-int table + interned method names (idempotent) */
     if (g.small_ints[0] == NULL) {
         for (long long i = 0; i < SMALL_INT_LIMIT; i++) {
@@ -2663,7 +2956,6 @@ static PyObject *setup(PyObject *self, PyObject *ns)
             || (g.s_on_ll_detect =
                     intern_or_null("on_ll_detect")) == NULL
             || (g.s_soa_grow = intern_or_null("_soa_grow")) == NULL
-            || (g.s_next_cycle = intern_or_null("_next_cycle")) == NULL
             || (g.s_sync_policy_stall =
                     intern_or_null("_sync_policy_stall")) == NULL)
             return NULL;

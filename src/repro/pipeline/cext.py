@@ -8,10 +8,27 @@ this file) runs the whole cycle body over those columns: the fused
 ``_run_until`` loop, the event-wheel drains, commit, issue, dispatch and
 fetch.  All state lives in ordinary Python objects (columns, wheels,
 heaps, ``ThreadState``), so stats, golden fixtures, sanitizers and
-policies see what the object engine would show them; the C crosses back
-into Python only at policy hooks, the memory hierarchy, :meth:`CextCore.
-flush_thread`, :meth:`CextCore._next_cycle` and :meth:`CextCore.
-_soa_grow`.  Architectural behavior is bit-identical to
+policies see what the object engine would show them.  The C also runs
+the per-instruction bookkeeping the object engine does in Python: it
+generates a :class:`~repro.workloads.trace.SyntheticTrace`'s
+instructions from the trace's per-slot rows, runs the fast-forward probe
+(raising :class:`~repro.pipeline.core.SimulationDeadlock` itself),
+advances the LLSR over runs of non-long-latency retires and checks the
+policy-stall predicate.  It crosses back into Python only at:
+
+* policy hooks;
+* the memory hierarchy (``load``/``ifetch``/``store``), shared with the
+  object engine;
+* the branch predictors and the long-latency load predictor;
+* :meth:`CextCore.flush_thread` and :meth:`CextCore._soa_grow`;
+* ``LLSR.commit_zeros`` when a 1 exits the register's head during the
+  advance (its measurement must fire in order), ``LLSR.commit`` for
+  long-latency retires, and ``ThreadState._sync_policy_stall`` on a
+  stall transition;
+* ``trace.get`` for duck-typed traces, and for a row whose address
+  arithmetic would overflow 64 bits.
+
+Architectural behavior is bit-identical to
 :class:`~repro.pipeline.core.SMTCore`; the golden matrix pins it.
 
 The arena's contracts, which the C relies on and
@@ -173,15 +190,19 @@ def _build(compiler: str) -> Path:
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
     from repro.isa.instruction import Instr
+    from repro.predictors.llsr import LLSR
+    from repro.workloads import trace
     return {
         "core": CextCore,
         "ts": ThreadState,
         "stats": ThreadStats,
         "core_stats": CoreStats,
         "instr": Instr,
+        "llsr": LLSR,
         "result": AccessResult,
         "view_cls": SoAView,
         "limit_exc": SimulationLimitExceeded,
+        "deadlock_exc": SimulationDeadlock,
         "l1_level": ServiceLevel.L1,
         # setup() cross-checks these against the compiled-in copies so a
         # drift in the Python flag layout fails loudly, not bit-rottenly.
@@ -194,6 +215,8 @@ def _setup_namespace() -> dict[str, Any]:
             "F_INV": F_INV, "F_LL_DEP": F_LL_DEP, "F_RETIRED": F_RETIRED,
             "F_IN_DETECTS": F_IN_DETECTS, "F_FREED": F_FREED,
             "SLOT_SHIFT": SLOT_SHIFT,
+            "ROW_LINEAR": trace.ROW_LINEAR, "ROW_HASHED": trace.ROW_HASHED,
+            "ROW_BURST": trace.ROW_BURST, "ROW_BRANCH": trace.ROW_BRANCH,
         },
     }
 
@@ -247,9 +270,10 @@ class CextCore(SMTCore):
     """The struct-of-arrays engine whose cycle body is compiled C.
 
     Only the cold paths the C calls back into stay in Python:
-    :meth:`flush_thread` (policy-triggered squash), :meth:`_next_cycle`
-    (the fast-forward probe) and :meth:`_soa_grow`.  The two ``_cext_*``
-    slots cache the policy-class hook markers the C reads per run.
+    :meth:`flush_thread` (policy-triggered squash) and :meth:`_soa_grow`
+    (arena growth); the module docstring lists the other callouts.  The
+    two ``_cext_*`` slots cache the policy-class hook markers the C reads
+    per run.
     """
 
     __slots__ = (
@@ -307,9 +331,13 @@ class CextCore(SMTCore):
             ts.rename_map = [-1] * NUM_ARCH_REGS
             trace_static = ts.trace_static
             if trace_static is not None:
+                # A row's prototype carries the class bits of every
+                # instruction the row generates.
+                rows = ts.trace_rows or [None] * len(trace_static)
                 ts.trace_flags = [
-                    None if instr is None else instr_flags(instr)
-                    for instr in trace_static]
+                    instr_flags(instr) if instr is not None
+                    else None if row is None else instr_flags(row[1])
+                    for instr, row in zip(trace_static, rows)]
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
@@ -375,8 +403,10 @@ class CextCore(SMTCore):
             "CextCore runs the cycle body in compiled code; subclass the "
             "object engine (backend 'object') instead")
 
+    # The fast-forward probe runs in the C loop; the inherited one would
+    # read slot numbers as records.
     step = _complete = _process_events = _execute = _commit_one = \
-        _try_dispatch = _object_engine_only
+        _try_dispatch = _next_cycle = _head_retirable = _object_engine_only
 
     # ------------------------------------------------------------------ #
     # flush (policy-triggered squash)
@@ -535,56 +565,6 @@ class CextCore(SMTCore):
         self._stall_latch_until = 0
         ts._sync_policy_stall(cycle)
         return squashed
-
-    # ------------------------------------------------------------------ #
-    # fast-forward
-    # ------------------------------------------------------------------ #
-
-    def _head_retirable(self, ts: ThreadState, wb_full: bool) -> bool:
-        window = ts.window
-        if not window:
-            return False
-        fl = self._col_flags[window[0]]
-        if not fl & F_COMPLETED:
-            return False
-        return not fl & F_IS_STORE or not wb_full
-
-    def _next_cycle(self, cycle: int) -> int:
-        nxt = cycle + 1
-        candidates = []
-        wb_full = self._wb_used >= self._wb_entries
-        head_retirable = self._head_retirable
-        col_fe_ready = self._col_fe_ready
-        for ts in self.threads:
-            if head_retirable(ts, wb_full):
-                return nxt
-            fe = ts.fe_queue
-            if fe:
-                head_ready = col_fe_ready[fe[0]]
-                if head_ready <= nxt:
-                    return nxt
-                candidates.append(head_ready)
-            if ts.fetch_blocked_until > nxt:
-                candidates.append(ts.fetch_blocked_until)
-        if self._ev_marks:
-            candidates.append(self._ev_marks[0])
-        if self._ev_over:
-            candidates.append(self._ev_over[0][0])
-        if self._dt_marks:
-            candidates.append(self._dt_marks[0])
-        if self._dt_over:
-            candidates.append(self._dt_over[0][0])
-        if self._wb_marks:
-            candidates.append(self._wb_marks[0])
-        if self._wb_over:
-            candidates.append(self._wb_over[0])
-        if not candidates:
-            raise SimulationDeadlock(
-                f"no future events at cycle {cycle}; pipeline is wedged")
-        target = min(candidates)
-        if target <= nxt:
-            return nxt
-        return target
 
 
 def load_cext_core() -> type[CextCore] | None:

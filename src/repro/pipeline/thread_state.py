@@ -45,7 +45,7 @@ class ThreadState:
         "dispatch_wait_until",
         "trace_get", "fe_append", "lll_predict", "pc_origin",
         "llsr_commit", "llsr_commit_zeros", "trace_static",
-        "trace_body_len", "llsr_zeros",
+        "trace_rows", "trace_body_len", "llsr_zeros",
         "head_ready", "tid_bit", "trace_flags",
     )
 
@@ -157,6 +157,11 @@ class ThreadState:
         # (None for duck-typed stub traces): lets the fetch loop skip the
         # ``get`` call for iteration-invariant slots.
         self.trace_static = getattr(trace, "_static", None)
+        #: The trace's per-slot address-formula rows, parallel to
+        #: ``trace_static`` (see :meth:`repro.workloads.trace.
+        #: SyntheticTrace._row`); the cext fetch path evaluates them in C
+        #: instead of calling ``get``.  ``None`` for duck-typed traces.
+        self.trace_rows = getattr(trace, "_rows", None)
         self.trace_body_len = getattr(trace, "body_len", 1)
         #: Per-static-instruction ``flags`` templates parallel to
         #: ``trace_static`` (see :func:`repro.pipeline.dyninstr.

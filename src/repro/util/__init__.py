@@ -1,5 +1,5 @@
 """Small shared utilities (deterministic hashing, math helpers)."""
 
-from repro.util.hashing import mix64, uniform_double, bounded
+from repro.util.hashing import bounded, mix64, mix64_step, uniform_double
 
-__all__ = ["mix64", "uniform_double", "bounded"]
+__all__ = ["mix64", "mix64_step", "uniform_double", "bounded"]

@@ -15,12 +15,23 @@ def mix64(*keys: int) -> int:
     """Hash one or more integers into a well-mixed 64-bit value."""
     h = 0x9E3779B97F4A7C15
     for k in keys:
-        h = (h + (k & _MASK)) & _MASK
-        h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & _MASK
-        h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _MASK
-        h ^= h >> 31
+        h = mix64_step(h, k)
+    return h
+
+
+def mix64_step(h: int, key: int) -> int:
+    """One more :func:`mix64` round: ``mix64(*keys, k) ==
+    mix64_step(mix64(*keys), k)``.
+
+    Lets a caller hash a fixed key prefix once and mix only the varying
+    last key per call (the trace generator's per-iteration hashes).
+    """
+    h = (h + (key & _MASK)) & _MASK
+    h ^= h >> 30
+    h = (h * 0xBF58476D1CE4E5B9) & _MASK
+    h ^= h >> 27
+    h = (h * 0x94D049BB133111EB) & _MASK
+    h ^= h >> 31
     return h
 
 

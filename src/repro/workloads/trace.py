@@ -25,11 +25,20 @@ from __future__ import annotations
 
 from repro.config import MemoryConfig
 from repro.isa import Instr, Op
-from repro.util import mix64, uniform_double
+from repro.util import mix64, mix64_step
 from repro.workloads.spec import BenchmarkSpec, Slot, SlotKind, build_body
 
 _REGION_SHIFT = 32
 _CHASE_WALK_MULT = 2654435761  # Knuth multiplicative-hash constant (odd)
+_TWO64 = float(1 << 64)
+
+# Row kinds of an iteration-varying slot (see ``SyntheticTrace._row``).
+# The compiled engine evaluates the same rows; it cross-checks these
+# codes at load time.
+ROW_LINEAR = 0   # addr = a + ((b + c * (iteration // every)) % m) * l
+ROW_HASHED = 1   # addr = a + (mix64_step(h0, iteration) % m) * l
+ROW_BURST = 2    # ROW_HASHED when iteration % every == 0, else addr = alt
+ROW_BRANCH = 3   # taken = mix64_step(h0, iteration) / 2**64 < alt
 
 _INSTR_NEW = Instr.__new__
 
@@ -118,8 +127,13 @@ class SyntheticTrace:
         # ``get`` clones instead of re-running ``Instr.__init__``.
         self._static: list[Instr | None] = [
             self._static_instr(slot) for slot in self.body]
-        self._protos: list[Instr] = [
-            self._proto_instr(slot) if static is None else static
+        # One row per iteration-varying slot (None where ``_static`` holds
+        # the instruction): the prototype plus the integer parameters of
+        # the slot's address formula.  ``get`` and the compiled engine's
+        # fetch path both evaluate these rows, so each address formula
+        # has exactly one definition.
+        self._rows: list[tuple | None] = [
+            self._row(slot) if static is None else None
             for slot, static in zip(self.body, self._static)]
 
     def _proto_instr(self, slot: Slot) -> Instr:
@@ -153,6 +167,50 @@ class SyntheticTrace:
     def pc_address(self, pc: int) -> int:
         return self.code_base + (pc - self.pc_base) * 4
 
+    def _row(self, slot: Slot) -> tuple:
+        """``(kind, proto, a, b, c, m, l, every, h0, alt)`` for one slot.
+
+        ``h0`` is ``mix64(seed, local_pc)``: hashing the constant key
+        prefix once leaves one :func:`mix64_step` per fetch, and keeps
+        the value within 64 bits whatever the seed.  The pc is the
+        *local* one so the generated stream is identical regardless of
+        which hardware-thread slot the program occupies.
+        """
+        kind = slot.kind
+        spec = self.spec
+        line = self._line
+        proto = self._proto_instr(slot)
+        local_pc = slot.pc - self.pc_base
+        h0 = mix64(self.seed, local_pc)
+        hot_b = local_pc * 811
+        if kind is SlotKind.STREAM_LOAD:
+            return (ROW_LINEAR, proto, self.stream_bases[slot.index], 0,
+                    spec.stream_stride, self.stream_fp, 1, 1, 0, 0)
+        if kind is SlotKind.STREAM_STORE:
+            return (ROW_LINEAR, proto, self.stout_bases[slot.index], 0,
+                    spec.stream_stride, self.stout_fp, 1, 1, 0, 0)
+        if kind in (SlotKind.HOT_LOAD, SlotKind.STORE):
+            return (ROW_LINEAR, proto, self.hot_base, hot_b, 1,
+                    self.hot_lines, line, 1, 0, 0)
+        if kind is SlotKind.CHASE_LOAD:
+            return (ROW_LINEAR, proto, self.chase_bases[slot.index],
+                    slot.index, _CHASE_WALK_MULT, self.chase_fp_lines, line,
+                    spec.chase_every, 0, 0)
+        if kind is SlotKind.RANDOM_LOAD:
+            return (ROW_HASHED, proto, self.random_base, 0, 0,
+                    self.random_lines, line, 1, h0, 0)
+        if kind is SlotKind.BURST_LOAD:
+            # Off-burst iterations touch one fixed hot line.
+            quiet = self.hot_base + (
+                (hot_b + slot.index * 67) % self.hot_lines) * line
+            return (ROW_BURST, proto, self.burst_base, 0, 0,
+                    self.burst_lines, line, spec.burst_every, h0, quiet)
+        if kind is SlotKind.COND_BRANCH:
+            return (ROW_BRANCH, proto, 0, 0, 0, 1, 0, 1, h0,
+                    float(slot.taken_prob))
+        raise AssertionError(
+            f"unhandled slot kind {kind!r}")  # pragma: no cover
+
     def get(self, index: int) -> Instr:
         """The ``index``-th dynamic instruction (stateless, repeatable)."""
         body_len = self.body_len
@@ -163,57 +221,13 @@ class SyntheticTrace:
             # skip the quotient — most fetches take this path.
             return static
         iteration = index // body_len
-        slot = self.body[pos]
-        kind = slot.kind
-        spec = self.spec
-        line = self._line
-        proto = self._protos[pos]
-        # Hash with the *local* pc so the generated stream is identical
-        # regardless of which hardware-thread slot the program occupies.
-        local_pc = slot.pc - self.pc_base
-
-        if kind is SlotKind.STREAM_LOAD:
-            base = self.stream_bases[slot.index]
-            addr = base + (iteration * spec.stream_stride) % self.stream_fp
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.HOT_LOAD:
-            addr = self.hot_base + (
-                (local_pc * 811 + iteration) % self.hot_lines) * line
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.CHASE_LOAD:
-            step = iteration // spec.chase_every
-            offset = (step * _CHASE_WALK_MULT + slot.index) % self.chase_fp_lines
-            addr = self.chase_bases[slot.index] + offset * line
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.BURST_LOAD:
-            if iteration % spec.burst_every == 0:
-                offset = mix64(self.seed, local_pc, iteration) % self.burst_lines
-                addr = self.burst_base + offset * line
-            else:
-                addr = self.hot_base + (
-                    (local_pc * 811 + slot.index * 67) % self.hot_lines) * line
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.RANDOM_LOAD:
-            offset = mix64(self.seed, local_pc, iteration) % self.random_lines
-            addr = self.random_base + offset * line
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.STORE:
-            addr = self.hot_base + (
-                (local_pc * 811 + iteration) % self.hot_lines) * line
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.STREAM_STORE:
-            base = self.stout_bases[slot.index]
-            addr = base + (iteration * spec.stream_stride) % self.stout_fp
-            return _from_proto(proto, addr, False)
-
-        if kind is SlotKind.COND_BRANCH:
-            taken = uniform_double(self.seed, local_pc, iteration) < slot.taken_prob
-            return _from_proto(proto, None, taken)
-
-        raise AssertionError(f"unhandled slot kind {kind!r}")  # pragma: no cover
+        kind, proto, a, b, c, m, l, every, h0, alt = self._rows[pos]
+        if kind == ROW_LINEAR:
+            return _from_proto(
+                proto, a + ((b + c * (iteration // every)) % m) * l, False)
+        if kind == ROW_BURST and iteration % every:
+            return _from_proto(proto, alt, False)
+        h = mix64_step(h0, iteration)
+        if kind == ROW_BRANCH:
+            return _from_proto(proto, None, h / _TWO64 < alt)
+        return _from_proto(proto, a + (h % m) * l, False)

@@ -15,6 +15,14 @@ needs_cext = pytest.mark.skipif(load_cext_core() is None,
                                 reason="cext backend not buildable here")
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--differential-cases", type=int, default=2, metavar="N",
+        help="hypothesis cases per policy in the object-vs-cext "
+             "differential slice (tests/test_differential.py); default 2, "
+             "the nightly leg runs 60")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_result_store(tmp_path_factory):
     """Pin the repro.jobs engine environment for the whole session.

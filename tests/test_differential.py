@@ -5,8 +5,10 @@ wider spec space — every registered policy that runs on the selectable
 engines (those without a ``core_class``), 1/2/4/8 threads, non-default
 ROB sizes and memory latencies, trace seeds 0–4 and random workloads —
 and requires the full :class:`~repro.pipeline.stats.CoreStats` of the
-two engines to be equal.  Two hypothesis cases per policy keep it
-tier-1 fast.  Hypothesis tries the simplest example first, and each
+two engines, and every thread's full LLSR state, to be equal.  Two
+hypothesis cases per policy keep it tier-1 fast; ``--differential-cases
+N`` (see ``conftest.py``) sets the count for the nightly leg.
+Hypothesis tries the simplest example first, and each
 policy's strategies are rotated to start from a different corner of the
 space, so the first cases alone cover every thread count, ROB size,
 latency and seed; the second case per policy is random.
@@ -55,11 +57,22 @@ def _rotated(values: tuple, k: int) -> tuple:
     return values[k:] + values[:k]
 
 
+def _llsr_state(llsr) -> tuple:
+    """Everything the LLSR holds: measurements, ring and counters."""
+    return (llsr.measured, llsr._bits, llsr._pcs, llsr._head, llsr._total,
+            llsr._filled, llsr._last_one_total)
+
+
 @needs_cext
 @pytest.mark.parametrize("policy", POLICIES)
-@settings(max_examples=2, deadline=None)
-@given(data=st.data())
-def test_object_and_cext_stats_agree(policy, data):
+def test_object_and_cext_stats_agree(policy, request):
+    cases = request.config.getoption("differential_cases")
+    check = settings(max_examples=cases, deadline=None)(
+        given(data=st.data())(_check_engines_agree))
+    check(policy)
+
+
+def _check_engines_agree(policy, data):
     k = POLICIES.index(policy)
     draw = data.draw
     threads = draw(st.sampled_from(_rotated(THREADS, k)))
@@ -71,13 +84,17 @@ def test_object_and_cext_stats_agree(policy, data):
     cfg = with_memory_latency(
         with_window_size(scaled_config(num_threads=threads), rob), latency)
 
-    def stats(backend):
+    def run(backend):
         core = build_core(names, cfg, policy, seed=seed, backend=backend)
-        return core.run(commits, warmup=150)
+        stats = core.run(commits, warmup=150)
+        return stats, [_llsr_state(ts.llsr) for ts in core.threads]
 
-    assert stats("cext") == stats("object"), (
-        f"{policy} {threads}t rob={rob} mem={latency} seed={seed} "
-        f"{names} @{commits}: engines diverged")
+    (cext_stats, cext_llsrs), (obj_stats, obj_llsrs) = \
+        run("cext"), run("object")
+    case = (f"{policy} {threads}t rob={rob} mem={latency} seed={seed} "
+            f"{names} @{commits}")
+    assert cext_stats == obj_stats, f"{case}: engines diverged"
+    assert cext_llsrs == obj_llsrs, f"{case}: LLSR states diverged"
 
 
 #: vortex runs a burst kernel (a miss cluster every 20 iterations); mcf

@@ -145,6 +145,27 @@ class TestResultStore:
         assert back.stats.threads == result.stats.threads
         assert back.stats.ll_intervals == result.stats.ll_intervals
 
+    def test_put_bytes_match_the_streaming_encoder(self, tmp_path):
+        # put() encodes with the one-shot C encoder; the file must hold
+        # exactly what the pure-Python streaming ``json.dump`` writes, so
+        # entries stay byte-identical to those already on disk.
+        import io
+
+        from repro import __version__
+        from repro.jobs.store import encode_result
+
+        store = ResultStore(tmp_path)
+        spec = _specs()[0]
+        result = run_jobs([spec], workers=1, store=None)[spec]
+        assert store.put(spec, result)
+        entry = {"schema": SCHEMA_VERSION, "repro": __version__,
+                 "kind": spec.kind, "payload": encode_result(result)}
+        reference = io.StringIO()
+        json.dump(entry, reference, separators=(",", ":"))
+        written = store.path_for(spec).read_bytes()
+        assert written == reference.getvalue().encode()
+        assert b'"stp":' in written and b'"ll_intervals":' in written
+
     def test_baseline_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = JobSpec.baseline("gap", CFG, COMMITS, warmup=WARMUP)

@@ -24,7 +24,8 @@ REPO_ROOT = SRC_ROOT.parent
 #: The packages whose classes are performance-critical: everything the
 #: engine touches per simulated cycle.  slots-lint and determinism-lint
 #: police exactly these.
-ENGINE_PACKAGES = ("repro/pipeline", "repro/policies", "repro/runahead")
+ENGINE_PACKAGES = ("repro/pipeline", "repro/policies", "repro/runahead",
+                   "repro/memory", "repro/branch", "repro/predictors")
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,8 +2,8 @@
 
 Every class in the engine packages (:data:`~repro.analysis.base.ENGINE_PACKAGES`)
 must either declare ``__slots__`` (a literal of strings), be a
-``@dataclass(slots=True)``, be an exception type, or appear on the
-explicit allowlist.  Additionally every ``self.X`` assignment anywhere
+``@dataclass(slots=True)``, be an exception or enum type, or appear on
+the explicit allowlist.  Additionally every ``self.X`` assignment anywhere
 in a class must resolve to a slot declared by the class or one of its
 (in-scope) bases — the mistake this catches is the stray attribute that
 silently re-grows a ``__dict__``-free class a per-instance dict, or dies
@@ -13,6 +13,12 @@ A ``"__dict__"`` entry anywhere in the slots chain is a deliberate
 wildcard (``SMTCore`` uses it so tests can monkeypatch instance
 methods): the declaration requirement still applies, the per-assignment
 resolution is skipped.
+
+Classes are keyed by module and name, so two modules' same-named
+classes (the private ``_Entry`` of several predictor tables) never
+stand in for each other.  A base name resolves in the defining module
+first, then to the one in-scope class of that name; a name that several
+other modules define is ambiguous and treated as an unknown base.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ _EXCEPTION_BUILTINS = {
     "AttributeError", "KeyError", "LookupError", "NotImplementedError",
     "RuntimeError", "TypeError", "ValueError",
 }
+
+#: Enum members are singletons built by the metaclass; ``__slots__``
+#: does not apply to them.
+_ENUM_BUILTINS = {"Enum", "IntEnum", "Flag", "IntFlag", "StrEnum"}
 
 
 @dataclass
@@ -133,20 +143,45 @@ def _class_info(cls: ast.ClassDef, path: Path) -> _ClassInfo:
     return info
 
 
-def _is_exception(info: _ClassInfo, table: dict[str, _ClassInfo],
-                  seen: frozenset[str] = frozenset()) -> bool:
+class _Table:
+    """The in-scope classes, keyed by (defining file, name)."""
+
+    def __init__(self) -> None:
+        self.by_key: dict[tuple[Path, str], _ClassInfo] = {}
+        self.by_name: dict[str, list[_ClassInfo]] = {}
+
+    def add(self, info: _ClassInfo) -> None:
+        self.by_key[(info.path, info.name)] = info
+        self.by_name.setdefault(info.name, []).append(info)
+
+    def resolve(self, base: str, module: Path) -> _ClassInfo | None:
+        """The class a base name of a class in ``module`` refers to."""
+        tail = base.split(".")[-1]
+        if "." not in base:              # a dotted base is imported
+            local = self.by_key.get((module, tail))
+            if local is not None:
+                return local
+        candidates = self.by_name.get(tail, [])
+        return candidates[0] if len(candidates) == 1 else None
+
+
+def _is_exempt(info: _ClassInfo, table: _Table,
+               seen: frozenset[tuple[Path, str]] = frozenset()) -> bool:
+    """Whether ``info`` is an exception or enum type."""
     for base in info.bases:
         tail = base.split(".")[-1]
-        if tail in _EXCEPTION_BUILTINS or tail.endswith("Error"):
+        if (tail in _EXCEPTION_BUILTINS or tail.endswith("Error")
+                or tail in _ENUM_BUILTINS):
             return True
-        parent = table.get(tail)
-        if parent is not None and tail not in seen:
-            if _is_exception(parent, table, seen | {tail}):
+        parent = table.resolve(base, info.path)
+        if parent is not None and (parent.path, parent.name) not in seen:
+            if _is_exempt(parent, table,
+                          seen | {(parent.path, parent.name)}):
                 return True
     return False
 
 
-def _slot_chain(info: _ClassInfo, table: dict[str, _ClassInfo],
+def _slot_chain(info: _ClassInfo, table: _Table,
                 ) -> tuple[set[str], bool]:
     """(union of declared slots/fields up the chain, chain is wildcard).
 
@@ -157,17 +192,17 @@ def _slot_chain(info: _ClassInfo, table: dict[str, _ClassInfo],
     """
     names: set[str] = set()
     wildcard = False
-    stack, seen = [info.name], set()
+    stack: list[_ClassInfo | str] = [info]
+    seen: set[tuple[Path, str]] = set()
     while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        ci = table.get(cur)
-        if ci is None:
-            if cur.split(".")[-1] not in _SLOTTED_BUILTINS:
+        ci = stack.pop()
+        if isinstance(ci, str):          # a base with no in-scope class
+            if ci.split(".")[-1] not in _SLOTTED_BUILTINS:
                 wildcard = True
             continue
+        if (ci.path, ci.name) in seen:
+            continue
+        seen.add((ci.path, ci.name))
         if ci.name in ALLOWED_DICT_CLASSES:
             wildcard = True
         if ci.is_dataclass:
@@ -181,7 +216,8 @@ def _slot_chain(info: _ClassInfo, table: dict[str, _ClassInfo],
                 names.update(ci.slots)
         else:
             wildcard = True
-        stack.extend(b.split(".")[-1] for b in ci.bases)
+        for base in ci.bases:
+            stack.append(table.resolve(base, ci.path) or base)
     return names, wildcard
 
 
@@ -189,17 +225,17 @@ def check(files: Sequence[Path] | None = None) -> list[Finding]:
     """Run slots-lint over ``files`` (default: the engine packages)."""
     if files is None:
         files = package_files()
-    table: dict[str, _ClassInfo] = {}
+    table = _Table()
     order: list[_ClassInfo] = []
     for path in files:
         for cls in walk_classes(parse_file(path)):
             info = _class_info(cls, path)
-            table[info.name] = info
+            table.add(info)
             order.append(info)
 
     findings: list[Finding] = []
     for info in order:
-        if info.name in ALLOWED_DICT_CLASSES or _is_exception(info, table):
+        if info.name in ALLOWED_DICT_CLASSES or _is_exempt(info, table):
             continue
         if info.is_dataclass:
             if not info.dataclass_slots:

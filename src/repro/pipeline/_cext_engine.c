@@ -22,7 +22,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define CEXT_API_VERSION 3
+#define CEXT_API_VERSION 4
 
 /* Flag bits: must mirror repro/pipeline/dyninstr.py (verified in setup). */
 #define F_IN_IQ (1 << 0)
@@ -63,6 +63,24 @@
 #define MAX_SRCS 64
 #define MAX_INSTR_SLOTS 32
 
+/* The Python callouts the run loop counts, by kind: the names of
+ * CextCore.counters, which must mirror cext.CALLOUT_KINDS (verified in
+ * setup).  CextCore.flush_thread counts "flush" itself: policy hooks,
+ * not this loop, call it. */
+enum {
+    CO_HIER_LOAD, CO_HIER_STORE, CO_HIER_IFETCH, CO_LLL_PREDICT,
+    CO_LLL_TRAIN, CO_GSHARE_UPDATE, CO_BTB_LOOKUP, CO_BTB_INSERT,
+    CO_LLSR_COMMIT, CO_LLSR_COMMIT_ZEROS, CO_SYNC_POLICY_STALL,
+    CO_POLICY_HOOK, CO_TRACE_GET, CO_SOA_GROW, CO_FLUSH, CO_N
+};
+
+static const char *const CALLOUT_NAMES[CO_N] = {
+    "hier_load", "hier_store", "hier_ifetch", "lll_predict", "lll_train",
+    "gshare_update", "btb_lookup", "btb_insert", "llsr_commit",
+    "llsr_commit_zeros", "sync_policy_stall", "policy_hook", "trace_get",
+    "soa_grow", "flush",
+};
+
 /* ------------------------------------------------------------------ */
 /* resolved member offsets                                             */
 /* ------------------------------------------------------------------ */
@@ -78,8 +96,9 @@ typedef struct {
     Py_ssize_t policy_fetch_order, policy_fetch_pending,
         policy_can_dispatch, policy_on_fetch, policy_on_fetch_load,
         policy_on_load_complete, policy_on_resource_stall;
-    Py_ssize_t hier_load, hier_ifetch, hier_store;
+    Py_ssize_t hierarchy, hier_load, hier_ifetch, hier_store;
     Py_ssize_t gshare, btb;
+    Py_ssize_t cext_counts;
     Py_ssize_t n_threads, full_mask, fe_mask, heads_mask;
     Py_ssize_t rotations, rot_cache, fetch_candidates;
     Py_ssize_t fetch_wake, dispatch_wake, stall_latch_until,
@@ -130,6 +149,22 @@ typedef struct {
     /* AccessResult */
     Py_ssize_t ar_complete_cycle, ar_detect_cycle, ar_level,
         ar_long_latency, ar_trigger, ar_fill_line;
+    /* MemoryHierarchy, Cache, TLB, the prefetcher and its stride table */
+    Py_ssize_t hier_l1i, hier_l1d, hier_itlb, hier_dtlb, hier_prefetcher,
+        hier_pending, hier_l1_latency, hier_demand_loads;
+    Py_ssize_t cache_sets, cache_num_sets, cache_line_shift, cache_hits;
+    Py_ssize_t tlb_entries, tlb_page_shift, tlb_hits;
+    Py_ssize_t pf_stride_predictor;
+    Py_ssize_t sp_table, sp_entries, sp_max_conf;
+    Py_ssize_t se_last_addr, se_stride, se_confidence;
+    /* MissPatternPredictor and its entries */
+    Py_ssize_t mp_table, mp_entries, mp_max_count, mp_lookups,
+        mp_predicted_ll;
+    Py_ssize_t me_period, me_since;
+    /* GShare, BTB */
+    Py_ssize_t gs_table, gs_history, gs_history_mask, gs_predictions,
+        gs_mispredictions;
+    Py_ssize_t btb_sets, btb_num_sets, btb_assoc, btb_hits, btb_misses;
 } Offsets;
 
 typedef struct {
@@ -144,11 +179,18 @@ typedef struct {
     Py_ssize_t instr_slots[MAX_INSTR_SLOTS];
     int n_instr_slots;
     PyObject *l1_level;     /* ServiceLevel.L1 (identity compare) */
+    /* the stock classes whose hit paths run here (exact type only) */
+    PyTypeObject *hier_type, *cache_type, *tlb_type, *pf_type, *stride_type,
+        *stride_entry_type, *mp_type, *mp_entry_type, *gshare_type,
+        *btb_type;
+    /* their stock methods (the core's bound-method slots must hold these) */
+    PyObject *fn_load, *fn_store, *fn_ifetch, *fn_predict;
     PyObject *small_ints[SMALL_INT_LIMIT];
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
     PyObject *s_append, *s_popleft, *s_update, *s_lookup, *s_insert,
-        *s_train, *s_on_ll_detect, *s_soa_grow, *s_sync_policy_stall;
+        *s_train, *s_on_ll_detect, *s_soa_grow, *s_sync_policy_stall,
+        *s_load, *s_store, *s_ifetch, *s_predict;
 } Globals;
 
 static Globals g;
@@ -185,10 +227,17 @@ static inline PyObject *box_ll(long long v)
     return PyLong_FromLongLong(v);
 }
 
-/* Unbox an int we created ourselves (never fails on real ints). */
+/* Unbox an int we created ourselves (never fails on real ints).  The
+ * overflow-reporting conversion reads multi-digit ints (packed stamps,
+ * line numbers) directly; PyLong_AsLongLong takes them through a
+ * byte-array round trip, which made unboxing the loop's largest cost. */
 static inline long long ll_of(PyObject *o)
 {
-    return PyLong_AsLongLong(o);
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (overflow)
+        return PyLong_AsLongLong(o);   /* raises OverflowError */
+    return v;
 }
 
 static inline long long slot_ll(PyObject *o, Py_ssize_t off)
@@ -466,9 +515,384 @@ typedef struct {
         n_threads, full_mask, rob_size, lsq_size, int_iq_size, fp_iq_size,
         int_rename_regs, fp_rename_regs, num_int_alu, num_ldst, num_fp;
     int fast_forward, fetch_order_is_base, can_fetch_one, track_dep;
+    /* the core's hierarchy/LLL-predictor slots hold the stock bound
+     * methods (resolved once per run_until) */
+    int fast_load, fast_store, fast_ifetch;
+    unsigned char fast_lll[MAX_THREADS];  /* by thread index */
+    long long counts[CO_N];
 } Ctx;
 
 #define OFF (g.off)
+
+/* ------------------------------------------------------------------ */
+/* memory hierarchy and predictor hit paths                            */
+/* ------------------------------------------------------------------ */
+
+/* The common branch of each hierarchy and predictor method, run on the
+ * same Python objects.  Every routine first checks, changing nothing,
+ * that its branch applies; only then does it make Python's own changes
+ * in Python's order.  It returns 1 when it did the work, 0 when a check
+ * failed (nothing changed: the caller runs the Python method, which
+ * stays the one definition of every miss, merge, TLB-miss and MSHR
+ * path), and -1 on error.  Each routine runs only on objects whose type
+ * is exactly the stock class (it returns 0 for any other), so the slot
+ * offsets it reads are the right ones. */
+
+/* An exact int that fits a long long (no error is left set). */
+static inline int as_ll(PyObject *o, long long *out)
+{
+    if (!PyLong_CheckExact(o))
+        return 0;
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (overflow || (v == -1 && PyErr_Occurred())) {
+        PyErr_Clear();
+        return 0;
+    }
+    *out = v;
+    return 1;
+}
+
+/* `del d[k]; d[k] = 0`: move a present key to the most-recent end. */
+static inline int dict_touch(PyObject *d, PyObject *k)
+{
+    if (PyDict_DelItem(d, k) < 0)
+        return -1;
+    return PyDict_SetItem(d, k, g.small_ints[0]);
+}
+
+/* Is `m` the bound method `fn` of `self`? */
+static inline int is_stock_bound(PyObject *m, PyObject *self, PyObject *fn)
+{
+    return PyMethod_Check(m) && PyMethod_GET_SELF(m) == self
+        && PyMethod_GET_FUNCTION(m) == fn;
+}
+
+/* The hierarchy and every object its hit paths touch are the stock
+ * classes. */
+static int hier_is_stock(PyObject *hier)
+{
+    if (Py_TYPE(hier) != g.hier_type
+        || Py_TYPE(SLOT(hier, OFF.hier_l1i)) != g.cache_type
+        || Py_TYPE(SLOT(hier, OFF.hier_l1d)) != g.cache_type
+        || Py_TYPE(SLOT(hier, OFF.hier_itlb)) != g.tlb_type
+        || Py_TYPE(SLOT(hier, OFF.hier_dtlb)) != g.tlb_type
+        || !PyDict_CheckExact(SLOT(hier, OFF.hier_pending)))
+        return 0;
+    PyObject *pf = SLOT(hier, OFF.hier_prefetcher);
+    return pf == Py_None
+        || (Py_TYPE(pf) == g.pf_type
+            && Py_TYPE(SLOT(pf, OFF.pf_stride_predictor)) == g.stride_type);
+}
+
+/* The L1 set dict of `line` in a stock Cache. */
+static inline PyObject *cache_set(PyObject *cache, long long line)
+{
+    return PyList_GET_ITEM(SLOT(cache, OFF.cache_sets),
+                           (Py_ssize_t)(line % slot_ll(cache,
+                                                       OFF.cache_num_sets)));
+}
+
+/* The hit branch of MemoryHierarchy.load (demand=1) and .store: a dTLB
+ * hit, no fill for the line still in flight, and an L1D hit (for a load
+ * with a prefetcher, also an existing stride-table entry).  On success
+ * *done is the completion cycle; the access is an L1 hit, not
+ * long-latency, with no trigger and no fill line. */
+static int hier_data_hit(PyObject *hier, PyObject *pc_obj,
+                         PyObject *addr_obj, long long cycle, int demand,
+                         long long *done)
+{
+    long long addr, ready;
+    if (!hier_is_stock(hier) || !as_ll(addr_obj, &addr) || addr < 0)
+        return 0;
+    PyObject *dtlb = SLOT(hier, OFF.hier_dtlb);
+    PyObject *l1d = SLOT(hier, OFF.hier_l1d);
+    PyObject *entries = SLOT(dtlb, OFF.tlb_entries);
+    PyObject *pending = SLOT(hier, OFF.hier_pending);
+    long long line = addr >> slot_ll(l1d, OFF.cache_line_shift);
+    PyObject *set = cache_set(l1d, line);
+    /* the stride-table entry observe_load updates (NULL: no prefetcher)
+     * and its new stride and confidence */
+    PyObject *se = NULL;
+    long long se_stride = 0, se_conf = 0;
+    int rc = 0;
+    PyObject *page_obj = box_ll(addr >> slot_ll(dtlb, OFF.tlb_page_shift));
+    PyObject *line_obj = box_ll(line);
+    PyObject *idx_obj = NULL;
+    if (page_obj == NULL || line_obj == NULL)
+        goto error;
+    /* checks: nothing changes until all pass */
+    if ((rc = PyDict_Contains(entries, page_obj)) <= 0)
+        goto out;
+    PyObject *pend = PyDict_GetItemWithError(pending, line_obj);
+    if (pend == NULL && PyErr_Occurred())
+        goto error;
+    rc = 0;
+    if (pend != NULL
+        && (!PyTuple_CheckExact(pend) || PyTuple_GET_SIZE(pend) != 2
+            || !as_ll(PyTuple_GET_ITEM(pend, 0), &ready) || ready > cycle))
+        goto out;            /* a merge into an in-flight fill */
+    if ((rc = PyDict_Contains(set, line_obj)) <= 0)
+        goto out;
+    PyObject *pf = SLOT(hier, OFF.hier_prefetcher);
+    if (demand && pf != Py_None) {
+        PyObject *sp = SLOT(pf, OFF.pf_stride_predictor);
+        long long pc, last;
+        rc = 0;
+        if (!as_ll(pc_obj, &pc) || pc < 0)
+            goto out;
+        idx_obj = box_ll(pc % slot_ll(sp, OFF.sp_entries));
+        if (idx_obj == NULL)
+            goto error;
+        se = PyDict_GetItemWithError(SLOT(sp, OFF.sp_table), idx_obj);
+        if (se == NULL) {
+            if (PyErr_Occurred())
+                goto error;
+            goto out;        /* Python creates the entry */
+        }
+        if (Py_TYPE(se) != g.stride_entry_type
+            || !as_ll(SLOT(se, OFF.se_last_addr), &last)
+            || !as_ll(SLOT(se, OFF.se_stride), &se_stride)
+            || !as_ll(SLOT(se, OFF.se_confidence), &se_conf))
+            goto out;
+        if (last >= 0) {
+            long long stride = addr - last;
+            if (stride == se_stride) {
+                if (se_conf < slot_ll(sp, OFF.sp_max_conf))
+                    se_conf += 1;
+            } else if (se_conf > 0) {
+                se_conf -= 1;
+            } else {
+                se_stride = stride;
+            }
+        }
+    }
+    /* Python's changes, in Python's order */
+    if (demand && stat_add(hier, OFF.hier_demand_loads, 1) < 0)
+        goto error;
+    if (dict_touch(entries, page_obj) < 0
+        || stat_add(dtlb, OFF.tlb_hits, 1) < 0)
+        goto error;
+    if (se != NULL) {
+        if (slot_store_ll(se, OFF.se_stride, se_stride) < 0
+            || slot_store_ll(se, OFF.se_confidence, se_conf) < 0)
+            goto error;
+        Py_INCREF(addr_obj);          /* Python stores the address itself */
+        slot_store(se, OFF.se_last_addr, addr_obj);
+    }
+    if (pend != NULL && PyDict_DelItem(pending, line_obj) < 0)
+        goto error;
+    if (dict_touch(set, line_obj) < 0 || stat_add(l1d, OFF.cache_hits, 1) < 0)
+        goto error;
+    *done = cycle + slot_ll(hier, OFF.hier_l1_latency);
+    rc = 1;
+    goto out;
+error:
+    rc = -1;
+out:
+    Py_XDECREF(page_obj);
+    Py_XDECREF(line_obj);
+    Py_XDECREF(idx_obj);
+    return rc;
+}
+
+/* The hit branch of MemoryHierarchy.ifetch: an iTLB hit, no fill for
+ * the line still in flight, and an L1I hit; *done is `cycle`. */
+static int hier_ifetch_hit(PyObject *hier, long long addr, long long cycle,
+                           long long *done)
+{
+    if (!hier_is_stock(hier) || addr < 0)
+        return 0;
+    PyObject *itlb = SLOT(hier, OFF.hier_itlb);
+    PyObject *l1i = SLOT(hier, OFF.hier_l1i);
+    PyObject *entries = SLOT(itlb, OFF.tlb_entries);
+    long long line = addr >> slot_ll(l1i, OFF.cache_line_shift);
+    PyObject *set = cache_set(l1i, line);
+    long long ready;
+    int rc = 0;
+    PyObject *page_obj = box_ll(addr >> slot_ll(itlb, OFF.tlb_page_shift));
+    PyObject *line_obj = box_ll(line);
+    if (page_obj == NULL || line_obj == NULL)
+        goto error;
+    if ((rc = PyDict_Contains(entries, page_obj)) <= 0)
+        goto out;
+    PyObject *pend = PyDict_GetItemWithError(SLOT(hier, OFF.hier_pending),
+                                             line_obj);
+    if (pend == NULL && PyErr_Occurred())
+        goto error;
+    rc = 0;
+    if (pend != NULL
+        && (!PyTuple_CheckExact(pend) || PyTuple_GET_SIZE(pend) < 1
+            || !as_ll(PyTuple_GET_ITEM(pend, 0), &ready) || ready > cycle))
+        goto out;
+    if ((rc = PyDict_Contains(set, line_obj)) <= 0)
+        goto out;
+    if (dict_touch(entries, page_obj) < 0
+        || stat_add(itlb, OFF.tlb_hits, 1) < 0
+        || dict_touch(set, line_obj) < 0
+        || stat_add(l1i, OFF.cache_hits, 1) < 0)
+        goto error;
+    *done = cycle;
+    rc = 1;
+    goto out;
+error:
+    rc = -1;
+out:
+    Py_XDECREF(page_obj);
+    Py_XDECREF(line_obj);
+    return rc;
+}
+
+/* The miss-pattern table entry of `pc` (borrowed; NULL and no error when
+ * absent); *ok = 0 when the C cannot run this call. */
+static PyObject *mpp_entry(PyObject *pred, PyObject *pc_obj, int *ok)
+{
+    long long pc;
+    *ok = 0;
+    if (Py_TYPE(pred) != g.mp_type || !as_ll(pc_obj, &pc) || pc < 0)
+        return NULL;
+    PyObject *idx = box_ll(pc % slot_ll(pred, OFF.mp_entries));
+    if (idx == NULL)
+        return NULL;
+    PyObject *e = PyDict_GetItemWithError(SLOT(pred, OFF.mp_table), idx);
+    Py_DECREF(idx);
+    if (e == NULL && PyErr_Occurred())
+        return NULL;
+    *ok = e == NULL || Py_TYPE(e) == g.mp_entry_type;
+    return e;
+}
+
+/* MissPatternPredictor.predict; *out is the prediction. */
+static int mpp_predict_c(PyObject *pred, PyObject *pc_obj, int *out)
+{
+    int ok;
+    long long period = -1, since = 0;
+    PyObject *e = mpp_entry(pred, pc_obj, &ok);
+    if (PyErr_Occurred())
+        return -1;
+    if (!ok || (e != NULL
+                && (!as_ll(SLOT(e, OFF.me_period), &period)
+                    || !as_ll(SLOT(e, OFF.me_since), &since))))
+        return 0;
+    if (stat_add(pred, OFF.mp_lookups, 1) < 0)
+        return -1;
+    *out = e != NULL && period >= 0
+        && period < slot_ll(pred, OFF.mp_max_count) && since == period;
+    if (*out && stat_add(pred, OFF.mp_predicted_ll, 1) < 0)
+        return -1;
+    return 1;
+}
+
+/* MissPatternPredictor.train on an existing entry (Python creates one). */
+static int mpp_train_c(PyObject *pred, PyObject *pc_obj, int long_latency)
+{
+    int ok;
+    long long since;
+    PyObject *e = mpp_entry(pred, pc_obj, &ok);
+    if (PyErr_Occurred())
+        return -1;
+    if (!ok || e == NULL || !as_ll(SLOT(e, OFF.me_since), &since))
+        return 0;
+    if (long_latency) {
+        if (slot_store_ll(e, OFF.me_period, since) < 0
+            || slot_store_ll(e, OFF.me_since, 0) < 0)
+            return -1;
+    } else if (since < slot_ll(pred, OFF.mp_max_count)
+               && slot_store_ll(e, OFF.me_since, since + 1) < 0) {
+        return -1;
+    }
+    return 1;
+}
+
+/* GShare.update(pc, taken, thread); *out is the prediction. */
+static int gshare_update_c(PyObject *gs, PyObject *pc_obj, int taken,
+                           PyObject *tid_obj, int *out)
+{
+    long long pc, tid, history, counter;
+    if (Py_TYPE(gs) != g.gshare_type)
+        return 0;
+    PyObject *hist = SLOT(gs, OFF.gs_history);
+    PyObject *table = SLOT(gs, OFF.gs_table);
+    long long mask = slot_ll(gs, OFF.gs_history_mask);
+    if (!as_ll(pc_obj, &pc) || !as_ll(tid_obj, &tid) || tid < 0
+        || tid >= PyList_GET_SIZE(hist)
+        || !as_ll(PyList_GET_ITEM(hist, tid), &history)
+        || history < 0 || history > (LLONG_MAX >> 1))
+        return 0;
+    long long idx = (pc ^ history) & mask;
+    if (idx >= PyList_GET_SIZE(table)
+        || !as_ll(PyList_GET_ITEM(table, idx), &counter))
+        return 0;
+    int prediction = counter >= 2;
+    if (taken ? counter < 3 : counter > 0) {
+        if (lset_ll(table, idx, taken ? counter + 1 : counter - 1) < 0)
+            return -1;
+    }
+    if (lset_ll(hist, tid, ((history << 1) | taken) & mask) < 0
+        || stat_add(gs, OFF.gs_predictions, 1) < 0
+        || (prediction != taken
+            && stat_add(gs, OFF.gs_mispredictions, 1) < 0))
+        return -1;
+    *out = prediction;
+    return 1;
+}
+
+/* The BTB set of `pc` (borrowed), or NULL when the C cannot run. */
+static inline PyObject *btb_set(PyObject *btb, PyObject *pc_obj)
+{
+    long long pc;
+    if (Py_TYPE(btb) != g.btb_type || !as_ll(pc_obj, &pc) || pc < 0)
+        return NULL;
+    return PyList_GET_ITEM(SLOT(btb, OFF.btb_sets),
+                           (Py_ssize_t)(pc % slot_ll(btb, OFF.btb_num_sets)));
+}
+
+/* BTB.lookup; *out is the hit. */
+static int btb_lookup_c(PyObject *btb, PyObject *pc_obj, int *out)
+{
+    PyObject *s = btb_set(btb, pc_obj);
+    if (s == NULL)
+        return 0;
+    int hit = PyDict_Contains(s, pc_obj);
+    if (hit < 0)
+        return -1;
+    if (hit) {
+        if (dict_touch(s, pc_obj) < 0 || stat_add(btb, OFF.btb_hits, 1) < 0)
+            return -1;
+    } else if (stat_add(btb, OFF.btb_misses, 1) < 0) {
+        return -1;
+    }
+    *out = hit;
+    return 1;
+}
+
+/* BTB.insert. */
+static int btb_insert_c(PyObject *btb, PyObject *pc_obj)
+{
+    PyObject *s = btb_set(btb, pc_obj);
+    if (s == NULL)
+        return 0;
+    int present = PyDict_Contains(s, pc_obj);
+    if (present < 0)
+        return -1;
+    if (present) {
+        if (PyDict_DelItem(s, pc_obj) < 0)
+            return -1;
+    } else if (PyDict_GET_SIZE(s) >= slot_ll(btb, OFF.btb_assoc)) {
+        Py_ssize_t pos = 0;
+        PyObject *lru, *val;
+        if (PyDict_Next(s, &pos, &lru, &val)) {
+            Py_INCREF(lru);
+            int rc = PyDict_DelItem(s, lru);
+            Py_DECREF(lru);
+            if (rc < 0)
+                return -1;
+        }
+    }
+    if (PyDict_SetItem(s, pc_obj, g.small_ints[0]) < 0)
+        return -1;
+    return 1;
+}
 
 /* ------------------------------------------------------------------ */
 /* event-wheel pushes (issue/commit helpers)                           */
@@ -749,6 +1173,7 @@ static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
                 if (v != Py_None) {
                     Py_INCREF(v);
                     PyObject *args[2] = {v, ts};
+                    c->counts[CO_POLICY_HOOK]++;
                     PyObject *r = PyObject_Vectorcall(on_load_complete,
                                                       args, 2, NULL);
                     Py_DECREF(v);
@@ -761,6 +1186,7 @@ static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
                     if (nv == NULL)
                         return -1;
                     PyObject *args[2] = {nv, ts};
+                    c->counts[CO_POLICY_HOOK]++;
                     PyObject *r = PyObject_Vectorcall(on_load_complete,
                                                       args, 2, NULL);
                     Py_DECREF(nv);
@@ -857,6 +1283,7 @@ static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
                 PyObject *ts = PyTuple_GET_ITEM(
                     c->threads, (Py_ssize_t)lget_ll(c->col_thread, s));
                 PyObject *args[2] = {v, ts};
+                c->counts[CO_POLICY_HOOK]++;
                 PyObject *r = PyObject_Vectorcall(c->on_ll_detect, args,
                                                   2, NULL);
                 Py_DECREF(v);
@@ -912,7 +1339,7 @@ static int commit_try_free(Ctx *c, long long p, PyObject *ll_owners)
  * always holds (0, -1), and the zero shifted in reuses the slot).  Only
  * when a 1 exits the head, whose measurement must fire in order, does
  * the Python method run. */
-static int llsr_zeros(PyObject *ts, long long k)
+static int llsr_zeros(Ctx *c, PyObject *ts, long long k)
 {
     PyObject *llsr = SLOT(ts, OFF.ts_llsr);
     if (Py_TYPE(llsr) == g.llsr_type) {
@@ -949,6 +1376,7 @@ static int llsr_zeros(PyObject *ts, long long k)
     PyObject *kb = box_ll(k);
     if (kb == NULL)
         return -1;
+    c->counts[CO_LLSR_COMMIT_ZEROS]++;
     PyObject *r = PyObject_CallOneArg(SLOT(ts, OFF.ts_llsr_commit_zeros),
                                       kb);
     Py_DECREF(kb);
@@ -1024,15 +1452,28 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             if (fl & F_IS_STORE) {
                 if (slot_ll(core, OFF.wb_used) >= c->wb_entries)
                     continue;
-                PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
-                                     SLOT(instr, OFF.in_pc),
-                                     SLOT(instr, OFF.in_addr), cycle_obj};
-                PyObject *result = PyObject_Vectorcall(
-                    SLOT(core, OFF.hier_store), args, 4, NULL);
-                if (result == NULL)
+                long long when;
+                int hit = c->fast_store
+                    ? hier_data_hit(SLOT(core, OFF.hierarchy),
+                                    SLOT(instr, OFF.in_pc),
+                                    SLOT(instr, OFF.in_addr), cycle, 0,
+                                    &when)
+                    : 0;
+                if (hit < 0)
                     return -1;
-                long long when = slot_ll(result, OFF.ar_complete_cycle);
-                Py_DECREF(result);
+                if (!hit) {
+                    PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
+                                         SLOT(instr, OFF.in_pc),
+                                         SLOT(instr, OFF.in_addr),
+                                         cycle_obj};
+                    c->counts[CO_HIER_STORE]++;
+                    PyObject *result = PyObject_Vectorcall(
+                        SLOT(core, OFF.hier_store), args, 4, NULL);
+                    if (result == NULL)
+                        return -1;
+                    when = slot_ll(result, OFF.ar_complete_cycle);
+                    Py_DECREF(result);
+                }
                 if (schedule_wb_drain(c, when, cycle) < 0)
                     return -1;
             }
@@ -1127,11 +1568,12 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
                 long long z = slot_ll(ts, OFF.ts_llsr_zeros);
                 if (z) {
                     if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
-                        || llsr_zeros(ts, z) < 0)
+                        || llsr_zeros(c, ts, z) < 0)
                         return -1;
                 }
                 PyObject *args[3] = {Py_True, SLOT(instr, OFF.in_pc),
                                      dependent ? Py_True : Py_False};
+                c->counts[CO_LLSR_COMMIT]++;
                 PyObject *r = PyObject_Vectorcall(
                     SLOT(ts, OFF.ts_llsr_commit), args, 3, NULL);
                 if (r == NULL)
@@ -1192,7 +1634,7 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             long long z = slot_ll(ts, OFF.ts_llsr_zeros);
             if (z) {
                 if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
-                    || llsr_zeros(ts, z) < 0)
+                    || llsr_zeros(c, ts, z) < 0)
                     return -1;
             }
         }
@@ -1316,99 +1758,121 @@ static int stage_issue(Ctx *c, long long cycle, PyObject *cycle_obj)
             long long completion;
             if (fl & F_IS_LOAD) {
                 /* _execute's load body, columnized */
-                PyObject *when_obj = box_ll(
-                    cycle + slot_ll(instr, OFF.in_latency));
-                if (when_obj == NULL)
+                long long ti = lget_ll(c->col_thread, s);
+                long long when = cycle + slot_ll(instr, OFF.in_latency);
+                long long detect = 0;
+                int is_ll = 0, trigger = 0;
+                PyObject *level = g.l1_level;   /* borrowed on both paths */
+                PyObject *fill = Py_None;
+                PyObject *result = NULL;
+                int hit = c->fast_load
+                    ? hier_data_hit(SLOT(c->core, OFF.hierarchy),
+                                    SLOT(instr, OFF.in_pc),
+                                    SLOT(instr, OFF.in_addr), when, 1,
+                                    &completion)
+                    : 0;
+                if (hit < 0)
                     goto err;
-                PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
-                                     SLOT(instr, OFF.in_pc),
-                                     SLOT(instr, OFF.in_addr), when_obj};
-                PyObject *result = PyObject_Vectorcall(
-                    SLOT(c->core, OFF.hier_load), args, 4, NULL);
-                Py_DECREF(when_obj);
-                if (result == NULL)
-                    goto err;
-                completion = slot_ll(result, OFF.ar_complete_cycle);
-                int is_ll =
-                    PyObject_IsTrue(SLOT(result, OFF.ar_long_latency));
+                if (!hit) {
+                    PyObject *when_obj = box_ll(when);
+                    if (when_obj == NULL)
+                        goto err;
+                    PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
+                                         SLOT(instr, OFF.in_pc),
+                                         SLOT(instr, OFF.in_addr),
+                                         when_obj};
+                    c->counts[CO_HIER_LOAD]++;
+                    result = PyObject_Vectorcall(
+                        SLOT(c->core, OFF.hier_load), args, 4, NULL);
+                    Py_DECREF(when_obj);
+                    if (result == NULL)
+                        goto err;
+                    completion = slot_ll(result, OFF.ar_complete_cycle);
+                    is_ll = PyObject_IsTrue(
+                        SLOT(result, OFF.ar_long_latency));
+                    trigger = PyObject_IsTrue(SLOT(result, OFF.ar_trigger));
+                    detect = slot_ll(result, OFF.ar_detect_cycle);
+                    level = SLOT(result, OFF.ar_level);
+                    fill = SLOT(result, OFF.ar_fill_line);
+                }
                 if (is_ll)
                     fl |= F_IS_LL;
-                PyObject *level = SLOT(result, OFF.ar_level);
                 Py_INCREF(level);
                 lset(c->col_level, s, level);
+                Py_INCREF(fill);
+                lset(c->col_fill_line, s, fill);
+                Py_XDECREF(result);   /* the columns hold level and fill */
                 PyObject *stats = SLOT(ts, OFF.ts_stats);
                 if (stat_add(stats, OFF.st_loads_executed, 1) < 0)
-                    goto err_res;
+                    goto err;
                 {
-                    PyObject *targs[2] = {SLOT(instr, OFF.in_pc),
-                                          is_ll ? Py_True : Py_False};
-                    PyObject *r = call_method(SLOT(ts, OFF.ts_lll_pred),
-                                              g.s_train, targs, 2);
-                    if (r == NULL)
-                        goto err_res;
-                    Py_DECREF(r);
+                    PyObject *pred = SLOT(ts, OFF.ts_lll_pred);
+                    PyObject *pc = SLOT(instr, OFF.in_pc);
+                    int done = c->fast_lll[ti]
+                        ? mpp_train_c(pred, pc, is_ll) : 0;
+                    if (done < 0)
+                        goto err;
+                    if (!done) {
+                        PyObject *targs[2] = {pc, is_ll ? Py_True : Py_False};
+                        c->counts[CO_LLL_TRAIN]++;
+                        PyObject *r = call_method(pred, g.s_train, targs, 2);
+                        if (r == NULL)
+                            goto err;
+                        Py_DECREF(r);
+                    }
                 }
                 PyObject *predicted = PyList_GET_ITEM(c->col_pred_ll, s);
                 if (predicted != Py_None) {
                     if (stat_add(stats, OFF.st_lll_pred_loads, 1) < 0)
-                        goto err_res;
+                        goto err;
                     int pred = PyObject_IsTrue(predicted);
                     if (pred == is_ll
                         && stat_add(stats, OFF.st_lll_pred_correct,
                                     1) < 0)
-                        goto err_res;
+                        goto err;
                     if (is_ll) {
                         if (stat_add(stats, OFF.st_lll_pred_miss_actual,
                                      1) < 0)
-                            goto err_res;
+                            goto err;
                         if (pred
                             && stat_add(stats,
                                         OFF.st_lll_pred_miss_correct,
                                         1) < 0)
-                            goto err_res;
+                            goto err;
                     }
                 }
                 if (is_ll && stat_add(stats, OFF.st_ll_loads, 1) < 0)
-                    goto err_res;
-                if (PyObject_IsTrue(SLOT(result, OFF.ar_trigger))) {
+                    goto err;
+                if (trigger) {
                     fl |= F_IN_DETECTS;
-                    long long when =
-                        slot_ll(result, OFF.ar_detect_cycle);
-                    if (when <= cycle)
-                        when = cycle + 1;
-                    if (when - cycle <= c->mask) {
+                    if (detect <= cycle)
+                        detect = cycle + 1;
+                    if (detect - cycle <= c->mask) {
                         if (wheel_push(c->dt_buckets, c->dt_marks,
-                                       c->mask, when, packed_obj) < 0)
-                            goto err_res;
-                    } else if (over_push(c->dt_over, when,
+                                       c->mask, detect, packed_obj) < 0)
+                            goto err;
+                    } else if (over_push(c->dt_over, detect,
                                          packed_obj) < 0) {
-                        goto err_res;
+                        goto err;
                     }
                 }
-                PyObject *fill = SLOT(result, OFF.ar_fill_line);
-                Py_INCREF(fill);
-                lset(c->col_fill_line, s, fill);
-                if (SLOT(result, OFF.ar_level) != g.l1_level) {
+                if (PyList_GET_ITEM(c->col_level, s) != g.l1_level) {
                     if (stat_add(ts, OFF.ts_outstanding_misses, 1) < 0)
-                        goto err_res;
+                        goto err;
                     if (lset_ll(c->col_pending, s, -1) < 0)
-                        goto err_res;
+                        goto err;
                 }
                 if (lset_ll(c->col_flags, s, fl) < 0)
-                    goto err_res;
+                    goto err;
                 if (completion - cycle <= c->mask) {
                     if (wheel_push(c->ev_buckets, c->ev_marks, c->mask,
                                    completion, packed_obj) < 0)
-                        goto err_res;
+                        goto err;
                 } else if (over_push(c->ev_over, completion,
                                      packed_obj) < 0) {
-                    goto err_res;
+                    goto err;
                 }
-                Py_DECREF(result);
                 goto issued_one;
-            err_res:
-                Py_DECREF(result);
-                goto err;
             } else {
                 /* stores: address generation only; memory access
                  * happens at commit via the write buffer */
@@ -1607,6 +2071,7 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
                 if (v == NULL)
                     return -1;
                 PyObject *cargs[2] = {ts, v};
+                c->counts[CO_POLICY_HOOK]++;
                 PyObject *r = PyObject_Vectorcall(can_dispatch, cargs,
                                                   2, NULL);
                 Py_DECREF(v);
@@ -1776,6 +2241,7 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             return -1;
         PyObject *ors = SLOT(core, OFF.policy_on_resource_stall);
         if (ors != Py_None) {   /* None: marked no-op hook */
+            c->counts[CO_POLICY_HOOK]++;
             PyObject *r = PyObject_CallOneArg(ors, cycle_obj);
             if (r == NULL)
                 return -1;
@@ -1985,6 +2451,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             PyObject *fi = box_ll(fetch_index);
             if (fi == NULL)
                 goto fail;
+            c->counts[CO_TRACE_GET]++;
             instr_ref = PyObject_CallOneArg(trace_get, fi);
             Py_DECREF(fi);
             if (instr_ref == NULL)
@@ -1996,17 +2463,27 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         long long pc_addr = pc_origin + slot_ll(instr, OFF.in_pc) * 4;
         long long line = pc_addr >> c->line_shift;
         if (line != slot_ll(ts, OFF.ts_last_ifetch_line)) {
-            PyObject *pa = box_ll(pc_addr);
-            if (pa == NULL)
+            long long done;
+            int hit = c->fast_ifetch
+                ? hier_ifetch_hit(SLOT(core, OFF.hierarchy), pc_addr,
+                                  cycle, &done)
+                : 0;
+            if (hit < 0)
                 goto fail_instr;
-            PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa, cycle_obj};
-            PyObject *done_obj = PyObject_Vectorcall(
-                SLOT(core, OFF.hier_ifetch), iargs, 3, NULL);
-            Py_DECREF(pa);
-            if (done_obj == NULL)
-                goto fail_instr;
-            long long done = ll_of(done_obj);
-            Py_DECREF(done_obj);
+            if (!hit) {
+                PyObject *pa = box_ll(pc_addr);
+                if (pa == NULL)
+                    goto fail_instr;
+                PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa, cycle_obj};
+                c->counts[CO_HIER_IFETCH]++;
+                PyObject *done_obj = PyObject_Vectorcall(
+                    SLOT(core, OFF.hier_ifetch), iargs, 3, NULL);
+                Py_DECREF(pa);
+                if (done_obj == NULL)
+                    goto fail_instr;
+                done = ll_of(done_obj);
+                Py_DECREF(done_obj);
+            }
             if (slot_store_ll(ts, OFF.ts_last_ifetch_line, line) < 0)
                 goto fail_instr;
             if (done > cycle) {
@@ -2020,6 +2497,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         gseq += 1;
         if (PyList_GET_SIZE(c->free_list) == 0) {
             /* extends ``free`` in place */
+            c->counts[CO_SOA_GROW]++;
             PyObject *r = PyObject_CallMethodNoArgs(core, g.s_soa_grow);
             if (r == NULL)
                 goto fail_instr;
@@ -2059,10 +2537,24 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             goto fail_instr;
         count += 1;
         if (flags & F_IS_LOAD) {
-            PyObject *p = PyObject_CallOneArg(
-                SLOT(ts, OFF.ts_lll_predict), SLOT(instr, OFF.in_pc));
-            if (p == NULL)
+            int pred;
+            int hit = c->fast_lll[tid]
+                ? mpp_predict_c(SLOT(ts, OFF.ts_lll_pred),
+                                SLOT(instr, OFF.in_pc), &pred)
+                : 0;
+            if (hit < 0)
                 goto fail_instr;
+            PyObject *p;
+            if (hit) {
+                p = pred ? Py_True : Py_False;
+                Py_INCREF(p);
+            } else {
+                c->counts[CO_LLL_PREDICT]++;
+                p = PyObject_CallOneArg(SLOT(ts, OFF.ts_lll_predict),
+                                        SLOT(instr, OFF.in_pc));
+                if (p == NULL)
+                    goto fail_instr;
+            }
             lset(c->col_pred_ll, s, p);
             if (on_fetch_load != Py_None) {
                 PyObject *v = ensure_view(core, c->col_views,
@@ -2070,6 +2562,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                 if (v == NULL)
                     goto fail_instr;
                 PyObject *hargs[2] = {v, ts};
+                c->counts[CO_POLICY_HOOK]++;
                 PyObject *r = PyObject_Vectorcall(on_fetch_load, hargs,
                                                   2, NULL);
                 Py_DECREF(v);
@@ -2084,32 +2577,50 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         if (flags & F_IS_BRANCH) {
             PyObject *taken_obj = SLOT(instr, OFF.in_taken);
             int taken = taken_obj == Py_True;
-            PyObject *gargs[3] = {SLOT(instr, OFF.in_pc), taken_obj,
-                                  SLOT(ts, OFF.ts_tid)};
-            PyObject *pr = call_method(SLOT(core, OFF.gshare),
-                                       g.s_update, gargs, 3);
-            if (pr == NULL)
+            PyObject *pc = SLOT(instr, OFF.in_pc);
+            PyObject *gs = SLOT(core, OFF.gshare);
+            PyObject *btb = SLOT(core, OFF.btb);
+            int prediction;
+            int hit = gshare_update_c(gs, pc, taken, SLOT(ts, OFF.ts_tid),
+                                      &prediction);
+            if (hit < 0)
                 goto fail_instr;
-            int prediction = PyObject_IsTrue(pr);
-            Py_DECREF(pr);
-            if (prediction < 0)
-                goto fail_instr;
+            if (!hit) {
+                PyObject *gargs[3] = {pc, taken_obj, SLOT(ts, OFF.ts_tid)};
+                c->counts[CO_GSHARE_UPDATE]++;
+                PyObject *pr = call_method(gs, g.s_update, gargs, 3);
+                if (pr == NULL)
+                    goto fail_instr;
+                prediction = PyObject_IsTrue(pr);
+                Py_DECREF(pr);
+                if (prediction < 0)
+                    goto fail_instr;
+            }
             int target_known = 1;
             if (taken) {
-                PyObject *largs[1] = {SLOT(instr, OFF.in_pc)};
-                PyObject *r = call_method(SLOT(core, OFF.btb),
-                                          g.s_lookup, largs, 1);
-                if (r == NULL)
+                hit = btb_lookup_c(btb, pc, &target_known);
+                if (hit < 0)
                     goto fail_instr;
-                target_known = PyObject_IsTrue(r);
-                Py_DECREF(r);
-                if (target_known < 0)
+                if (!hit) {
+                    c->counts[CO_BTB_LOOKUP]++;
+                    PyObject *r = call_method(btb, g.s_lookup, &pc, 1);
+                    if (r == NULL)
+                        goto fail_instr;
+                    target_known = PyObject_IsTrue(r);
+                    Py_DECREF(r);
+                    if (target_known < 0)
+                        goto fail_instr;
+                }
+                hit = btb_insert_c(btb, pc);
+                if (hit < 0)
                     goto fail_instr;
-                r = call_method(SLOT(core, OFF.btb), g.s_insert,
-                                largs, 1);
-                if (r == NULL)
-                    goto fail_instr;
-                Py_DECREF(r);
+                if (!hit) {
+                    c->counts[CO_BTB_INSERT]++;
+                    PyObject *r = call_method(btb, g.s_insert, &pc, 1);
+                    if (r == NULL)
+                        goto fail_instr;
+                    Py_DECREF(r);
+                }
             }
             if (prediction != taken || !target_known) {
                 if (slot_store_ll(ts, OFF.ts_waiting_branch, s) < 0
@@ -2122,6 +2633,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                     if (v == NULL)
                         goto fail_instr;
                     PyObject *hargs[2] = {v, ts};
+                    c->counts[CO_POLICY_HOOK]++;
                     PyObject *r = PyObject_Vectorcall(on_fetch, hargs,
                                                       2, NULL);
                     Py_DECREF(v);
@@ -2138,6 +2650,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                 if (v == NULL)
                     goto fail_instr;
                 PyObject *hargs[2] = {v, ts};
+                c->counts[CO_POLICY_HOOK]++;
                 PyObject *r = PyObject_Vectorcall(on_fetch, hargs, 2,
                                                   NULL);
                 Py_DECREF(v);
@@ -2156,6 +2669,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             if (v == NULL)
                 goto fail_instr;
             PyObject *hargs[2] = {v, ts};
+            c->counts[CO_POLICY_HOOK]++;
             PyObject *r = PyObject_Vectorcall(on_fetch, hargs, 2, NULL);
             Py_DECREF(v);
             if (r == NULL)
@@ -2193,6 +2707,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     if ((ae != Py_None && slot_ll(ts, OFF.ts_fetch_index) > ll_of(ae))
         != slot_true(ts, OFF.ts_policy_stalled_flag)) {
         PyObject *sargs[1] = {cycle_obj};
+        c->counts[CO_SYNC_POLICY_STALL]++;
         PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
         if (r == NULL)
             goto fail;
@@ -2292,6 +2807,7 @@ static int fetch_via_policy_order(Ctx *c, long long cycle,
                                   PyObject *cycle_obj,
                                   int base_fallback_wake)
 {
+    c->counts[CO_POLICY_HOOK]++;
     PyObject *order = PyObject_CallOneArg(
         SLOT(c->core, OFF.policy_fetch_order), cycle_obj);
     if (order == NULL)
@@ -2476,13 +2992,44 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->can_fetch_one =
         c->fetch_max_threads >= 1 && c->fetch_width >= 1;
     c->track_dep = slot_true(core, OFF.track_ll_dep);
+    /* The hit paths run only when the core reaches the hierarchy and
+     * the LLL predictors through the stock bound methods; anything else
+     * keeps its Python method. */
+    PyObject *hier = SLOT(core, OFF.hierarchy);
+    c->fast_load = is_stock_bound(SLOT(core, OFF.hier_load), hier,
+                                  g.fn_load);
+    c->fast_store = is_stock_bound(SLOT(core, OFF.hier_store), hier,
+                                   g.fn_store);
+    c->fast_ifetch = is_stock_bound(SLOT(core, OFF.hier_ifetch), hier,
+                                    g.fn_ifetch);
+    Py_ssize_t nt = PyTuple_GET_SIZE(c->threads);
+    for (Py_ssize_t i = 0; i < nt && nt <= MAX_THREADS; i++) {
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+        PyObject *pred = SLOT(ts, OFF.ts_lll_pred);
+        c->fast_lll[i] = slot_ll(ts, OFF.ts_tid) == i
+            && is_stock_bound(SLOT(ts, OFF.ts_lll_predict), pred,
+                              g.fn_predict);
+    }
     return 0;
 }
 
+/* Add this run's callout counts to the core's running totals (kept
+ * across run_until calls; an error in flight is preserved). */
 static void ctx_clear(Ctx *c)
 {
     Py_XDECREF(c->on_ll_detect);
     c->on_ll_detect = NULL;
+    PyObject *et, *ev, *tb;
+    PyErr_Fetch(&et, &ev, &tb);
+    PyObject *totals = SLOT(c->core, OFF.cext_counts);
+    if (PyList_CheckExact(totals) && PyList_GET_SIZE(totals) == CO_N) {
+        for (Py_ssize_t i = 0; i < CO_N; i++) {
+            if (c->counts[i]
+                && lset_ll(totals, i, lget_ll(totals, i) + c->counts[i]) < 0)
+                PyErr_Clear();
+        }
+    }
+    PyErr_Restore(et, ev, tb);
 }
 
 static PyObject *run_until(PyObject *self, PyObject *const *args,
@@ -2602,6 +3149,7 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
                 PyObject *nxt_obj = box_ll(nxt);
                 if (nxt_obj == NULL)
                     goto fail_cycle;
+                c->counts[CO_POLICY_HOOK]++;
                 PyObject *r = PyObject_CallOneArg(
                     SLOT(core, OFF.policy_fetch_pending), nxt_obj);
                 Py_DECREF(nxt_obj);
@@ -2678,9 +3226,11 @@ static const struct OffSpec SPECS[] = {
     O("core", "_policy_on_fetch_load", policy_on_fetch_load),
     O("core", "_policy_on_load_complete", policy_on_load_complete),
     O("core", "_policy_on_resource_stall", policy_on_resource_stall),
+    O("core", "hierarchy", hierarchy),
     O("core", "_hier_load", hier_load), O("core", "_hier_ifetch", hier_ifetch),
     O("core", "_hier_store", hier_store),
     O("core", "gshare", gshare), O("core", "btb", btb),
+    O("core", "_cext_counts", cext_counts),
     O("core", "_n_threads", n_threads), O("core", "_full_mask", full_mask),
     O("core", "_fe_mask", fe_mask), O("core", "_heads_mask", heads_mask),
     O("core", "_rotations", rotations), O("core", "_rot_cache", rot_cache),
@@ -2790,6 +3340,51 @@ static const struct OffSpec SPECS[] = {
     O("result", "long_latency", ar_long_latency),
     O("result", "trigger", ar_trigger),
     O("result", "fill_line", ar_fill_line),
+    O("hier", "l1i", hier_l1i), O("hier", "l1d", hier_l1d),
+    O("hier", "itlb", hier_itlb), O("hier", "dtlb", hier_dtlb),
+    O("hier", "prefetcher", hier_prefetcher),
+    O("hier", "_pending", hier_pending),
+    O("hier", "_l1_latency", hier_l1_latency),
+    O("hier", "demand_loads", hier_demand_loads),
+    O("cache", "_sets", cache_sets), O("cache", "_num_sets", cache_num_sets),
+    O("cache", "_line_shift", cache_line_shift), O("cache", "hits", cache_hits),
+    O("tlb", "_entries", tlb_entries), O("tlb", "_page_shift", tlb_page_shift),
+    O("tlb", "hits", tlb_hits),
+    O("prefetcher", "stride_predictor", pf_stride_predictor),
+    O("stride", "_table", sp_table), O("stride", "_entries", sp_entries),
+    O("stride", "_max_conf", sp_max_conf),
+    O("stride_entry", "last_addr", se_last_addr),
+    O("stride_entry", "stride", se_stride),
+    O("stride_entry", "confidence", se_confidence),
+    O("mpp", "_table", mp_table), O("mpp", "_entries", mp_entries),
+    O("mpp", "_max_count", mp_max_count), O("mpp", "lookups", mp_lookups),
+    O("mpp", "predicted_ll", mp_predicted_ll),
+    O("mpp_entry", "period", me_period), O("mpp_entry", "since", me_since),
+    O("gshare", "_table", gs_table), O("gshare", "_history", gs_history),
+    O("gshare", "_history_mask", gs_history_mask),
+    O("gshare", "predictions", gs_predictions),
+    O("gshare", "mispredictions", gs_mispredictions),
+    O("btb", "_sets", btb_sets), O("btb", "_num_sets", btb_num_sets),
+    O("btb", "_assoc", btb_assoc), O("btb", "hits", btb_hits),
+    O("btb", "misses", btb_misses),
+};
+
+/* Namespace keys of the stock classes whose exact type enables a hit
+ * path. */
+static const struct {
+    const char *key;
+    size_t field;
+} TYPE_SPECS[] = {
+    {"hier", offsetof(Globals, hier_type)},
+    {"cache", offsetof(Globals, cache_type)},
+    {"tlb", offsetof(Globals, tlb_type)},
+    {"prefetcher", offsetof(Globals, pf_type)},
+    {"stride", offsetof(Globals, stride_type)},
+    {"stride_entry", offsetof(Globals, stride_entry_type)},
+    {"mpp", offsetof(Globals, mp_type)},
+    {"mpp_entry", offsetof(Globals, mp_entry_type)},
+    {"gshare", offsetof(Globals, gshare_type)},
+    {"btb", offsetof(Globals, btb_type)},
 };
 
 #undef O
@@ -2925,6 +3520,58 @@ static PyObject *setup(PyObject *self, PyObject *ns)
     }
     if (resolve_instr_slots(instr) < 0)
         return NULL;
+    size_t n_types = sizeof(TYPE_SPECS) / sizeof(TYPE_SPECS[0]);
+    for (size_t i = 0; i < n_types; i++) {
+        PyObject *t = PyDict_GetItemString(ns, TYPE_SPECS[i].key);
+        if (t == NULL || !PyType_Check(t)) {
+            PyErr_Format(PyExc_TypeError, "setup(): %s is not a type",
+                         TYPE_SPECS[i].key);
+            return NULL;
+        }
+        Py_INCREF(t);
+        Py_XSETREF(*(PyTypeObject **)((char *)&g + TYPE_SPECS[i].field),
+                   (PyTypeObject *)t);
+    }
+    /* the stock hierarchy/predictor methods the core's slots must bind */
+    {
+        PyObject *hier = PyDict_GetItemString(ns, "hier");
+        PyObject *mpp = PyDict_GetItemString(ns, "mpp");
+        PyObject *fl = PyObject_GetAttrString(hier, "load");
+        PyObject *fs = PyObject_GetAttrString(hier, "store");
+        PyObject *fi = PyObject_GetAttrString(hier, "ifetch");
+        PyObject *fp = PyObject_GetAttrString(mpp, "predict");
+        if (fl == NULL || fs == NULL || fi == NULL || fp == NULL) {
+            Py_XDECREF(fl);
+            Py_XDECREF(fs);
+            Py_XDECREF(fi);
+            Py_XDECREF(fp);
+            return NULL;
+        }
+        Py_XSETREF(g.fn_load, fl);
+        Py_XSETREF(g.fn_store, fs);
+        Py_XSETREF(g.fn_ifetch, fi);
+        Py_XSETREF(g.fn_predict, fp);
+    }
+    /* the callout kinds: fail loudly if the Python names drift */
+    {
+        PyObject *kinds = PyDict_GetItemString(ns, "callout_kinds");
+        if (kinds == NULL || !PyTuple_Check(kinds)
+            || PyTuple_GET_SIZE(kinds) != CO_N) {
+            PyErr_SetString(PyExc_ValueError,
+                            "setup(): callout_kinds drifted from the C copy");
+            return NULL;
+        }
+        for (Py_ssize_t i = 0; i < CO_N; i++) {
+            PyObject *k = PyTuple_GET_ITEM(kinds, i);
+            if (!PyUnicode_Check(k)
+                || PyUnicode_CompareWithASCIIString(k, CALLOUT_NAMES[i])) {
+                PyErr_Format(PyExc_ValueError,
+                             "setup(): callout kind %d is not %s", (int)i,
+                             CALLOUT_NAMES[i]);
+                return NULL;
+            }
+        }
+    }
     Py_INCREF(view_cls);
     Py_XSETREF(g.view_cls, view_cls);
     Py_INCREF(limit_exc);
@@ -2957,7 +3604,11 @@ static PyObject *setup(PyObject *self, PyObject *ns)
                     intern_or_null("on_ll_detect")) == NULL
             || (g.s_soa_grow = intern_or_null("_soa_grow")) == NULL
             || (g.s_sync_policy_stall =
-                    intern_or_null("_sync_policy_stall")) == NULL)
+                    intern_or_null("_sync_policy_stall")) == NULL
+            || (g.s_load = intern_or_null("load")) == NULL
+            || (g.s_store = intern_or_null("store")) == NULL
+            || (g.s_ifetch = intern_or_null("ifetch")) == NULL
+            || (g.s_predict = intern_or_null("predict")) == NULL)
             return NULL;
     }
     g.ready = 1;
@@ -2965,16 +3616,172 @@ static PyObject *setup(PyObject *self, PyObject *ns)
 }
 
 /* ------------------------------------------------------------------ */
+/* the hit paths as module functions (the same routines run_until uses) */
+/* ------------------------------------------------------------------ */
+
+/* Each runs the C branch when the object's type is exactly the stock
+ * class and the branch applies, and the Python method otherwise: the
+ * choice run_until makes per call. */
+
+static int check_call(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
+{
+    if (!g.ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_cext_engine.setup() has not run");
+        return -1;
+    }
+    if (nargs != want) {
+        PyErr_SetString(PyExc_TypeError, sig);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *bool_or_null(int rc, int v)
+{
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(v);
+}
+
+static PyObject *py_hier_access(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    (void)self;
+    static const char sig[] =
+        "hier_access(hier, kind, tid, pc, addr, cycle)";
+    if (check_call(nargs, 6, sig) < 0)
+        return NULL;
+    PyObject *hier = args[0], *kind = args[1];
+    int k = !PyUnicode_Check(kind) ? -1
+        : !PyUnicode_CompareWithASCIIString(kind, "load") ? 0
+        : !PyUnicode_CompareWithASCIIString(kind, "store") ? 1
+        : !PyUnicode_CompareWithASCIIString(kind, "ifetch") ? 2 : -1;
+    if (k < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "kind must be 'load', 'store' or 'ifetch'");
+        return NULL;
+    }
+    long long cycle, addr, done;
+    int hit = 0;
+    if (as_ll(args[5], &cycle)) {
+        if (k < 2)
+            hit = hier_data_hit(hier, args[3], args[4], cycle, k == 0,
+                                &done);
+        else if (as_ll(args[4], &addr))
+            hit = hier_ifetch_hit(hier, addr, cycle, &done);
+    }
+    if (hit < 0)
+        return NULL;
+    if (hit)
+        return PyLong_FromLongLong(done);
+    if (k == 2) {
+        PyObject *a[3] = {args[2], args[4], args[5]};
+        return call_method(hier, g.s_ifetch, a, 3);
+    }
+    return call_method(hier, k ? g.s_store : g.s_load, args + 2, 4);
+}
+
+static PyObject *py_lll_predict(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_call(nargs, 2, "lll_predict(pred, pc)") < 0)
+        return NULL;
+    int out = 0;
+    int hit = mpp_predict_c(args[0], args[1], &out);
+    if (hit)
+        return bool_or_null(hit, out);
+    return call_method(args[0], g.s_predict, args + 1, 1);
+}
+
+static PyObject *py_lll_train(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_call(nargs, 3, "lll_train(pred, pc, long_latency)") < 0)
+        return NULL;
+    int hit = 0;
+    if (PyBool_Check(args[2]))
+        hit = mpp_train_c(args[0], args[1], args[2] == Py_True);
+    if (hit < 0)
+        return NULL;
+    if (hit)
+        Py_RETURN_NONE;
+    return call_method(args[0], g.s_train, args + 1, 2);
+}
+
+static PyObject *py_gshare_update(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_call(nargs, 4, "gshare_update(gshare, pc, taken, tid)") < 0)
+        return NULL;
+    int out = 0, hit = 0;
+    if (PyBool_Check(args[2]))
+        hit = gshare_update_c(args[0], args[1], args[2] == Py_True,
+                              args[3], &out);
+    if (hit)
+        return bool_or_null(hit, out);
+    return call_method(args[0], g.s_update, args + 1, 3);
+}
+
+static PyObject *py_btb_lookup(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_call(nargs, 2, "btb_lookup(btb, pc)") < 0)
+        return NULL;
+    int out = 0;
+    int hit = btb_lookup_c(args[0], args[1], &out);
+    if (hit)
+        return bool_or_null(hit, out);
+    return call_method(args[0], g.s_lookup, args + 1, 1);
+}
+
+static PyObject *py_btb_insert(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_call(nargs, 2, "btb_insert(btb, pc)") < 0)
+        return NULL;
+    int hit = btb_insert_c(args[0], args[1]);
+    if (hit < 0)
+        return NULL;
+    if (hit)
+        Py_RETURN_NONE;
+    return call_method(args[0], g.s_insert, args + 1, 1);
+}
+
+/* ------------------------------------------------------------------ */
 /* module definition                                                   */
 /* ------------------------------------------------------------------ */
+
+#define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
 
 static PyMethodDef cext_methods[] = {
     {"setup", setup, METH_O,
      "Resolve slot offsets and constants from the driver's class table."},
-    {"run_until", (PyCFunction)(void (*)(void))run_until, METH_FASTCALL,
+    {"run_until", FASTCALL(run_until),
      "run_until(core, max_commits, limit) -> None"},
+    {"hier_access", FASTCALL(py_hier_access),
+     "hier_access(hier, kind, tid, pc, addr, cycle): MemoryHierarchy."
+     "load/store/ifetch; an int completion cycle when the C hit path "
+     "ran, else the Python method's result"},
+    {"lll_predict", FASTCALL(py_lll_predict),
+     "lll_predict(pred, pc) -> bool: MissPatternPredictor.predict"},
+    {"lll_train", FASTCALL(py_lll_train),
+     "lll_train(pred, pc, long_latency): MissPatternPredictor.train"},
+    {"gshare_update", FASTCALL(py_gshare_update),
+     "gshare_update(gshare, pc, taken, tid) -> bool: GShare.update"},
+    {"btb_lookup", FASTCALL(py_btb_lookup),
+     "btb_lookup(btb, pc) -> bool: BTB.lookup"},
+    {"btb_insert", FASTCALL(py_btb_insert),
+     "btb_insert(btb, pc): BTB.insert"},
     {NULL, NULL, 0, NULL},
 };
+
+#undef FASTCALL
 
 static struct PyModuleDef cext_module = {
     PyModuleDef_HEAD_INIT,

@@ -14,12 +14,26 @@ generates a :class:`~repro.workloads.trace.SyntheticTrace`'s
 instructions from the trace's per-slot rows, runs the fast-forward probe
 (raising :class:`~repro.pipeline.core.SimulationDeadlock` itself),
 advances the LLSR over runs of non-long-latency retires and checks the
-policy-stall predicate.  It crosses back into Python only at:
+policy-stall predicate.  It also runs the common branch of the memory
+hierarchy and the predictors on their own objects: a load, store or
+instruction fetch that hits the TLB and the L1 with no fill in flight
+(with the stride predictor's update), ``MissPatternPredictor.predict``/
+``train``, ``GShare.update`` and ``BTB.lookup``/``insert``.  It does so
+only for objects whose type is exactly the stock class, reached through
+the stock bound methods (checked once per ``run_until``; each routine
+checks its object's type on every call), so
+subclasses, ablation predictors and the object engine keep their Python
+methods; the module functions ``hier_access``, ``lll_predict``,
+``lll_train``, ``gshare_update``, ``btb_lookup`` and ``btb_insert``
+expose the same routines.  It crosses back into Python only at:
 
 * policy hooks;
-* the memory hierarchy (``load``/``ifetch``/``store``), shared with the
-  object engine;
-* the branch predictors and the long-latency load predictor;
+* the memory hierarchy (``load``/``ifetch``/``store``) for every miss,
+  merge into an in-flight fill and TLB miss, and for a load whose
+  stride-table entry does not exist yet: the Python hierarchy, shared
+  with the object engine, stays the one definition of those paths;
+* ``MissPatternPredictor.train`` to create a table entry, and every
+  method of a non-stock predictor;
 * :meth:`CextCore.flush_thread` and :meth:`CextCore._soa_grow`;
 * ``LLSR.commit_zeros`` when a 1 exits the register's head during the
   advance (its measurement must fire in order), ``LLSR.commit`` for
@@ -27,6 +41,9 @@ policy-stall predicate.  It crosses back into Python only at:
   stall transition;
 * ``trace.get`` for duck-typed traces, and for a row whose address
   arithmetic would overflow 64 bits.
+
+:attr:`CextCore.counters` counts these callouts by kind
+(:data:`CALLOUT_KINDS`).
 
 Architectural behavior is bit-identical to
 :class:`~repro.pipeline.core.SMTCore`; the golden matrix pins it.
@@ -85,7 +102,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
-from types import ModuleType
+from types import MappingProxyType, ModuleType
 from typing import TYPE_CHECKING, Any
 
 from repro.isa import NUM_ARCH_REGS
@@ -125,6 +142,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workloads.trace import SyntheticTrace
 
 __all__ = [
+    "CALLOUT_KINDS",
     "CextCore",
     "cext_status",
     "load_cext_core",
@@ -137,6 +155,16 @@ _SOURCE = Path(__file__).with_name("_cext_engine.c")
 _INITIAL_CAPACITY = 2048
 
 _F_MEM = F_IS_LOAD | F_IS_STORE
+
+#: The kinds of Python callout the compiled loop counts, in the order of
+#: ``CextCore.counters`` (``setup`` checks the C copy against this).
+CALLOUT_KINDS = (
+    "hier_load", "hier_store", "hier_ifetch", "lll_predict", "lll_train",
+    "gshare_update", "btb_lookup", "btb_insert", "llsr_commit",
+    "llsr_commit_zeros", "sync_policy_stall", "policy_hook", "trace_get",
+    "soa_grow", "flush",
+)
+_FLUSH = CALLOUT_KINDS.index("flush")
 
 # Probe/build outcome, memoized for the life of the process:
 # (engine module | None, human-readable status string).
@@ -189,7 +217,16 @@ def _build(compiler: str) -> Path:
 
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
+    from repro.branch import BTB, GShare
     from repro.isa.instruction import Instr
+    from repro.memory import (
+        TLB,
+        Cache,
+        StreamBufferPrefetcher,
+        StridePredictor,
+        stride_predictor,
+    )
+    from repro.predictors import miss_pattern
     from repro.predictors.llsr import LLSR
     from repro.workloads import trace
     return {
@@ -204,6 +241,18 @@ def _setup_namespace() -> dict[str, Any]:
         "limit_exc": SimulationLimitExceeded,
         "deadlock_exc": SimulationDeadlock,
         "l1_level": ServiceLevel.L1,
+        # The stock classes whose hit paths run in C (exact type only).
+        "hier": MemoryHierarchy,
+        "cache": Cache,
+        "tlb": TLB,
+        "prefetcher": StreamBufferPrefetcher,
+        "stride": StridePredictor,
+        "stride_entry": stride_predictor._Entry,
+        "mpp": miss_pattern.MissPatternPredictor,
+        "mpp_entry": miss_pattern._Entry,
+        "gshare": GShare,
+        "btb": BTB,
+        "callout_kinds": CALLOUT_KINDS,
         # setup() cross-checks these against the compiled-in copies so a
         # drift in the Python flag layout fails loudly, not bit-rottenly.
         "flags": {
@@ -284,6 +333,7 @@ class CextCore(SMTCore):
         "_col_waiter0", "_col_waiters", "_col_old_map", "_col_ll_parents",
         "_col_pred_ll", "_col_fill_line", "_col_level", "_col_views",
         "_cext_olc_cleanup_only", "_cext_ll_detect_is_base",
+        "_cext_counts",
     )
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
@@ -343,6 +393,18 @@ class CextCore(SMTCore):
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
         self._cext_ll_detect_is_base = bool(getattr(
             pcls.on_ll_detect, "_is_default_hook", False))
+        # Running callout totals by kind; the C adds each run's counts.
+        self._cext_counts = [0] * len(CALLOUT_KINDS)
+
+    @property
+    def counters(self) -> MappingProxyType[str, int]:
+        """Python callouts the compiled loop made, by kind (read-only).
+
+        Totals over the core's life, brought up to date when each
+        ``run_until`` returns.  They count calls, never time, so equal
+        runs give equal counters.
+        """
+        return MappingProxyType(dict(zip(CALLOUT_KINDS, self._cext_counts)))
 
     def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
@@ -414,6 +476,7 @@ class CextCore(SMTCore):
 
     def flush_thread(self, ts: ThreadState, after_seq: int,
                      cancel_fills: bool | None = None) -> int:
+        self._cext_counts[_FLUSH] += 1
         # Mirrors SMTCore.flush_thread; squashed slots are reclaimed here
         # unless a queued event (completion of a counted miss, a pending
         # detection) or a policy ownership still needs them — those free

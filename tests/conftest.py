@@ -75,6 +75,73 @@ def branch(pc: int, taken: bool, srcs=(4,)) -> Instr:
     return Instr(pc, Op.BRANCH, None, tuple(srcs), taken=taken)
 
 
+# ---------------------------------------------------------------------- #
+# full hierarchy / predictor state, for engine and hit-path differentials
+# ---------------------------------------------------------------------- #
+
+def _slots(obj) -> tuple:
+    """Every slot value of a slotted table entry."""
+    return tuple(getattr(obj, name) for name in type(obj).__slots__)
+
+
+def table_state(table: dict) -> list:
+    """A predictor table: key order, and each entry's slot values."""
+    return [(k, _slots(e) if hasattr(type(e), "__slots__") else e)
+            for k, e in table.items()]
+
+
+def cache_state(cache) -> tuple:
+    return [list(s) for s in cache._sets], cache.hits, cache.misses
+
+
+def tlb_state(tlb) -> tuple:
+    return list(tlb._entries), tlb.hits, tlb.misses
+
+
+def prefetcher_state(pf) -> tuple | None:
+    if pf is None:
+        return None
+    buffers = [(list(b.entries.items()), b.next_addr, b.stride, b.last_used,
+                b.valid, b.hits_since_alloc, b.alloc_cycle)
+               for b in pf._buffers]
+    return (table_state(pf.stride_predictor._table), buffers, pf.hits,
+            pf.lookups, pf.allocations, pf.prefetches_issued)
+
+
+def lll_state(pred) -> tuple:
+    """A long-latency load predictor: its table and every counter."""
+    return tuple(table_state(v) if isinstance(v, dict) else v
+                 for v in _slots(pred))
+
+
+def hierarchy_state(h) -> tuple:
+    """Everything a memory hierarchy holds, LRU key order included."""
+    return (
+        [cache_state(c) for c in (h.l1i, h.l1d, h.l2, h.l3)],
+        [tlb_state(t) for t in (h.itlb, h.dtlb)],
+        list(h._pending.items()), list(h._fill_ends), h._last_ll_end,
+        prefetcher_state(h.prefetcher), list(h.ll_intervals),
+        list(h.ll_loads_per_thread.items()), h.demand_loads,
+        h.merged_loads, h.prefetch_covered)
+
+
+def gshare_state(gs) -> tuple:
+    return list(gs._table), list(gs._history), gs.predictions, \
+        gs.mispredictions
+
+
+def btb_state(btb) -> tuple:
+    return [list(s) for s in btb._sets], btb.hits, btb.misses
+
+
+def engine_state(core) -> tuple:
+    """The (hierarchy, predictors) state a run leaves behind."""
+    predictors = (gshare_state(core.gshare), btb_state(core.btb),
+                  [lll_state(ts.lll_pred) for ts in core.threads])
+    return hierarchy_state(core.hierarchy), predictors
+
+
+
 @pytest.fixture
 def quick_config():
     """A small, fast config for directed pipeline tests."""

@@ -82,6 +82,23 @@ class TestSlotsLintFixture:
         assert ".a is assigned" not in text
         assert ".c is assigned" not in text
 
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_same_named_classes_stay_apart(self, order):
+        # Each module's _Entry is checked against its own slots, and
+        # _Tagged's base is the _Entry of its own module, whichever file
+        # is read last: exactly the planted write is flagged.
+        files = [DATA / f"clash_{m}.py" for m in order]
+        findings = slots_lint.check(files=files)
+        assert [f.message for f in findings] == [
+            "_Tagged.stride is assigned but is not a declared slot of "
+            "_Tagged or its bases"], _messages(findings)
+
+    def test_enums_are_exempt(self, tmp_path):
+        src = tmp_path / "levels.py"
+        src.write_text("from enum import IntEnum\n\n\n"
+                       "class Level(IntEnum):\n    L1 = 1\n")
+        assert slots_lint.check(files=[src]) == []
+
 
 class TestDeterminismLintFixture:
     def test_flags_planted_violations(self):

@@ -5,7 +5,12 @@ wider spec space — every registered policy that runs on the selectable
 engines (those without a ``core_class``), 1/2/4/8 threads, non-default
 ROB sizes and memory latencies, trace seeds 0–4 and random workloads —
 and requires the full :class:`~repro.pipeline.stats.CoreStats` of the
-two engines, and every thread's full LLSR state, to be equal.  Two
+two engines, every thread's full LLSR state, and the whole state of the
+memory hierarchy and the predictors to be equal: each cache set's and
+TLB's key order (an LRU drift can stay invisible in the statistics for
+a long time) and hit/miss counters, the pending fills, the stride
+table, the stream buffers, the miss-pattern tables, gshare's table and
+history, and the BTB sets.  Two
 hypothesis cases per policy keep it tier-1 fast; ``--differential-cases
 N`` (see ``conftest.py``) sets the count for the nightly leg.
 Hypothesis tries the simplest example first, and each
@@ -19,7 +24,8 @@ compared the same way: :func:`~repro.experiments.runner.simulate_baseline`
 :func:`~repro.experiments.profile.profile_benchmark` (the whole
 :class:`~repro.experiments.profile.ProfileResult`: MLP distances,
 predictor accuracies, stats), each on a burst-kernel program and on a
-program that misses steadily.
+program that misses steadily, together with the hierarchy and predictor
+state of the finished core.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from conftest import needs_cext
+from conftest import engine_state, needs_cext
 from repro import registry
 from repro.config import (
     scaled_config,
@@ -63,6 +69,20 @@ def _llsr_state(llsr) -> tuple:
             llsr._filled, llsr._last_one_total)
 
 
+@pytest.fixture
+def released_states(monkeypatch):
+    """The :func:`engine_state` of every core released, in order."""
+    states = []
+    release = SMTCore.release
+
+    def record(core):
+        states.append(engine_state(core))
+        release(core)
+
+    monkeypatch.setattr(SMTCore, "release", record)
+    return states
+
+
 @needs_cext
 @pytest.mark.parametrize("policy", POLICIES)
 def test_object_and_cext_stats_agree(policy, request):
@@ -87,14 +107,17 @@ def _check_engines_agree(policy, data):
     def run(backend):
         core = build_core(names, cfg, policy, seed=seed, backend=backend)
         stats = core.run(commits, warmup=150)
-        return stats, [_llsr_state(ts.llsr) for ts in core.threads]
+        return (stats, [_llsr_state(ts.llsr) for ts in core.threads],
+                engine_state(core))
 
-    (cext_stats, cext_llsrs), (obj_stats, obj_llsrs) = \
-        run("cext"), run("object")
+    (cext_stats, cext_llsrs, cext_state), (obj_stats, obj_llsrs, obj_state) \
+        = run("cext"), run("object")
     case = (f"{policy} {threads}t rob={rob} mem={latency} seed={seed} "
             f"{names} @{commits}")
     assert cext_stats == obj_stats, f"{case}: engines diverged"
     assert cext_llsrs == obj_llsrs, f"{case}: LLSR states diverged"
+    assert cext_state[0] == obj_state[0], f"{case}: hierarchies diverged"
+    assert cext_state[1] == obj_state[1], f"{case}: predictors diverged"
 
 
 #: vortex runs a burst kernel (a miss cluster every 20 iterations); mcf
@@ -115,7 +138,7 @@ def default_engine(monkeypatch):
 
 @needs_cext
 @pytest.mark.parametrize("name", SINGLE_THREAD_PROGRAMS)
-def test_baseline_agrees(name, default_engine):
+def test_baseline_agrees(name, default_engine, released_states):
     cfg = single_thread_variant(scaled_config(num_threads=2, scale=16))
 
     def baseline(backend):
@@ -126,11 +149,13 @@ def test_baseline_agrees(name, default_engine):
     assert len(obj.commit_cycles) >= 1500
     assert cext.commit_cycles == obj.commit_cycles
     assert cext.stats == obj.stats
+    obj_state, cext_state = released_states
+    assert cext_state == obj_state
 
 
 @needs_cext
 @pytest.mark.parametrize("name", SINGLE_THREAD_PROGRAMS)
-def test_profile_agrees(name, default_engine):
+def test_profile_agrees(name, default_engine, released_states):
     def profile(backend):
         default_engine(backend)
         clear_profile_cache()
@@ -140,3 +165,5 @@ def test_profile_agrees(name, default_engine):
     clear_profile_cache()
     assert obj.mlp_distances
     assert cext == obj
+    obj_state, cext_state = released_states
+    assert cext_state == obj_state

@@ -1,8 +1,8 @@
 """Experiment drivers that regenerate every table and figure of the paper.
 
-See DESIGN.md for the experiment index.  Each driver returns plain data
-(dataclasses / dicts) so that the benchmark harness, the examples, and the
-tests can all share them.
+The experiment index is :mod:`repro.experiments.claims`.  Each driver
+returns plain data (dataclasses / dicts) so that the claims table, the
+examples, and the tests can all share them.
 """
 
 from repro.experiments.characterize import CharacterizationRow, characterize

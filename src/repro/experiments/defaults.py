@@ -14,7 +14,7 @@ Environment knobs:
   (default 4000).
 * ``REPRO_SCALE``    — multiplier applied to instruction budgets.
 * ``REPRO_FULL=1``   — run the full Table II/III workload lists instead of
-  the representative subsets used by the benchmark harness.
+  the representative subsets of :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations

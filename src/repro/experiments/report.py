@@ -1,15 +1,11 @@
-"""EXPERIMENTS.md generator: run every experiment, record paper-vs-measured.
+"""Paper-vs-measured report: every entry of the claims table, rendered.
 
-``python -m repro.experiments.report [commits] [output-path]`` regenerates
-the whole document at the chosen scale.  Each ``section_*`` function is
-independently callable and returns Markdown, so tests can exercise them
-cheaply and the benches can reuse the same underlying drivers.
-
-The document's purpose (see the repository README) is honesty about what a
-synthetic-workload reproduction can and cannot claim: absolute numbers
-differ from the paper by construction, so every section states the paper's
-number, the measured number, and whether the *shape* — ranking, sign,
-rough magnitude, trend direction — holds.
+``python -m repro.experiments.report [commits] [output-path]`` runs every
+entry of :mod:`repro.experiments.claims` and writes one Markdown
+document — each entry's table and its computed checks — to stdout, or
+to ``output-path`` when one is given.  ``commits`` overrides every
+entry's budget; without it each entry runs at its own default budget
+(after ``REPRO_COMMITS``/``REPRO_SCALE``).
 """
 
 from __future__ import annotations
@@ -17,401 +13,62 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.experiments import paper_data
-from repro.experiments.characterize import characterize
-from repro.experiments.defaults import default_commits, default_config
-from repro.experiments.policy_comparison import (
-    compare_policies,
-    summarize_policies,
-)
-from repro.experiments.profile import profile_benchmark
-from repro.experiments.runner import clear_baseline_cache, evaluate_workload
-from repro.experiments.single_thread import mean_speedup, prefetcher_comparison
-from repro.experiments.sweeps import memory_latency_sweep, window_size_sweep
-from repro.policies import ALTERNATIVES, MAIN_COMPARISON
-from repro.report import markdown_table
-
-#: Representative workload subsets (the benches' quick sets).
-TWO_THREAD_GROUPS = {
-    "ILP": (("vortex", "parser"), ("crafty", "twolf"), ("gcc", "gap")),
-    "MLP": (("mcf", "swim"), ("mcf", "galgel"), ("lucas", "fma3d"),
-            ("swim", "mesa")),
-    "MIX": (("swim", "perlbmk"), ("fma3d", "twolf"), ("vpr", "mcf"),
-            ("equake", "perlbmk")),
-}
-FOUR_THREAD_SET = (("vortex", "parser", "crafty", "twolf"),
-                   ("mgrid", "vortex", "swim", "twolf"),
-                   ("lucas", "fma3d", "equake", "perlbmk"),
-                   ("apsi", "mesa", "mcf", "swim"))
-SWEEP_WORKLOADS = (("swim", "twolf"), ("vpr", "mcf"))
-FIG4_PROGRAMS = ("mcf", "fma3d", "equake", "lucas", "swim", "applu")
-CDF_POINTS = (0, 16, 32, 48, 64, 80, 96, 112, 127)
-
-
-def _delta(value: float, base: float) -> str:
-    if base <= 0:
-        return "n/a"
-    return f"{100.0 * (value / base - 1.0):+.1f}%"
-
-
-def _summary_rows(summary: dict[str, tuple[float, float]]):
-    base_stp, base_antt = summary["icount"]
-    rows = []
-    for policy, (stp_v, antt_v) in summary.items():
-        rows.append((policy, f"{stp_v:.3f}", f"{antt_v:.3f}",
-                     _delta(stp_v, base_stp), _delta(antt_v, base_antt)))
-    return rows
-
-
-# --------------------------------------------------------------------- #
-# sections
-# --------------------------------------------------------------------- #
-
-def section_table1(commits: int) -> str:
-    rows = characterize(max_commits=commits)
-    md_rows = [(r.name, f"{r.lll_per_kilo:.2f}",
-                f"{r.paper_lll_per_kilo:.2f}", f"{r.mlp:.2f}",
-                f"{r.paper_mlp:.2f}", f"{r.mlp_impact:.1%}",
-                f"{r.paper_mlp_impact:.1%}", r.category, r.paper_category)
-               for r in rows]
-    agree = sum(r.category_matches_paper for r in rows)
-    table = markdown_table(
-        ("benchmark", "LLL/1K", "paper", "MLP", "paper", "impact",
-         "paper", "class", "paper"), md_rows)
-    return (
-        "## Table I / Figure 1 — benchmark characterization\n\n"
-        "Measured on the single-threaded characterization machine "
-        "(no prefetcher, 256-entry ROB); the serialized-vs-parallel "
-        "long-latency experiment supplies the MLP-impact column.\n\n"
-        f"{table}\n\n"
-        f"**Shape check:** ILP/MLP class agreement with the paper: "
-        f"**{agree}/{len(rows)}**.  The synthetic analogs are calibrated "
-        "to the class boundary (impact ≷ 10%), not to exact rates; "
-        "mid-table rates track the paper within a small factor.\n")
-
-
-def section_fig4(commits: int) -> str:
-    lines = ["## Figure 4 — CDF of the measured MLP distance\n"]
-    header = ("program", *[str(p) for p in CDF_POINTS])
-    rows = []
-    for name in FIG4_PROGRAMS:
-        profile = profile_benchmark(name, max_commits=commits)
-        cdf = dict(profile.distance_cdf(list(CDF_POINTS)))
-        rows.append((name, *[f"{cdf.get(p, 0.0):.2f}" for p in CDF_POINTS]))
-    lines.append(markdown_table(header, rows))
-    lines.append(
-        "\n**Paper:** " + "; ".join(
-            f"{k}: {v}" for k, v in paper_data.MLP_DISTANCE_SHAPES.items())
-        + ".\n\n**Shape check:** the measured spread reproduces the "
-        "motivating diversity — mcf/fma3d keep finding MLP at large "
-        "distances while lucas's CDF saturates much earlier; a single "
-        "fixed window cannot fit all programs, which is the argument for "
-        "predicting the distance per load.\n")
-    return "\n".join(lines)
-
-
-def section_fig5(commits: int) -> str:
-    rows = prefetcher_comparison(max_commits=commits)
-    speedup = mean_speedup(rows)
-    md_rows = [(r.name, f"{r.ipc_without:.3f}", f"{r.ipc_with:.3f}",
-                f"{r.speedup:.2f}x") for r in rows]
-    table = markdown_table(("benchmark", "IPC no-PF", "IPC PF", "speedup"),
-                           md_rows)
-    return (
-        "## Figure 5 — hardware prefetcher impact\n\n"
-        f"{table}\n\n"
-        f"**Paper:** harmonic-mean speedup "
-        f"{paper_data.PREFETCHER_HMEAN_SPEEDUP:.3f}x.  "
-        f"**Measured:** {speedup:.3f}x.\n\n"
-        "**Shape check:** streaming benchmarks gain large factors, "
-        "pointer-chasing and cache-resident ones are untouched — the "
-        "baseline used for all policy comparisons includes this "
-        "prefetcher, as in the journal version of the paper.\n")
-
-
-def section_predictors(commits: int) -> str:
-    rows = []
-    sum_acc = sum_bin = sum_dist = 0.0
-    for name in sorted({*FIG4_PROGRAMS, "twolf", "crafty", "gap"}):
-        p = profile_benchmark(name, max_commits=commits)
-        rows.append((name, f"{p.lll_accuracy:.3f}",
-                     f"{p.lll_miss_accuracy:.3f}",
-                     f"{p.mlp_binary_accuracy:.3f}",
-                     f"{p.mlp_distance_accuracy:.3f}"))
-        sum_acc += p.lll_accuracy
-        sum_bin += p.mlp_binary_accuracy
-        sum_dist += p.mlp_distance_accuracy
-    n = len(rows)
-    table = markdown_table(
-        ("benchmark", "LLL acc/load", "LLL acc/miss", "MLP binary",
-         "MLP distance"), rows)
-    pd_lll = paper_data.LLL_PREDICTOR
-    pd_mlp = paper_data.MLP_PREDICTOR
-    return (
-        "## Figures 6/7/8 — predictor accuracy\n\n"
-        f"{table}\n\n"
-        f"**Paper:** LLL accuracy {pd_lll['mean_accuracy_per_load']:.1%} "
-        f"mean (min {pd_lll['min_accuracy_per_load']:.0%}); binary MLP "
-        f"{pd_mlp['binary_accuracy']:.1%}; far-enough distance "
-        f"{pd_mlp['distance_accuracy']:.1%}.  **Measured means:** "
-        f"{sum_acc / n:.1%} / {sum_bin / n:.1%} / {sum_dist / n:.1%}.\n\n"
-        "**Shape check:** per-load accuracy is high everywhere (hits "
-        "dominate); the miss-pattern predictor is near-perfect on "
-        "periodic-miss programs and weakest on irregular mcf — the same "
-        "outlier the paper reports (59% per-miss accuracy).\n")
-
-
-def section_two_thread(commits: int) -> str:
-    cfg = default_config(num_threads=2)
-    lines = ["## Figures 9/10 — two-thread policy comparison\n"]
-    measured = {}
-    for label, workloads in TWO_THREAD_GROUPS.items():
-        cells = compare_policies(workloads, MAIN_COMPARISON, cfg, commits)
-        summary = summarize_policies(cells, workloads, MAIN_COMPARISON)
-        measured[label] = summary
-        lines.append(f"\n### {label}-intensive workloads\n")
-        lines.append(markdown_table(
-            ("policy", "STP", "ANTT", "dSTP vs icount", "dANTT vs icount"),
-            _summary_rows(summary)))
-    headline = paper_data.TWO_THREAD_HEADLINES
-    lines.append("\n**Paper headlines:** "
-                 f"MLP: +{headline[('MLP', 'icount')][0]:.1%} STP / "
-                 f"-{headline[('MLP', 'icount')][1]:.1%} ANTT vs ICOUNT; "
-                 f"MIX: +{headline[('MIX', 'icount')][0]:.1%} STP vs "
-                 "ICOUNT; ILP: mlp_flush ≈ flush.\n")
-    mlp = measured["MLP"]
-    mix = measured["MIX"]
-    ilp = measured["ILP"]
-    checks = [
-        ("mlp_flush beats ICOUNT STP on MLP workloads",
-         mlp["mlp_flush"][0] > mlp["icount"][0]),
-        ("mlp_flush beats ICOUNT STP on mixed workloads",
-         mix["mlp_flush"][0] > mix["icount"][0]),
-        ("mlp_flush best-or-tied ANTT on MLP workloads",
-         mlp["mlp_flush"][1] <= min(v[1] for v in mlp.values()) * 1.10),
-        ("mlp_flush ≈ flush on ILP workloads (±10%)",
-         abs(ilp["mlp_flush"][0] - ilp["flush"][0]) / ilp["flush"][0] < 0.10),
-    ]
-    lines.append("**Shape checks:** " + "; ".join(
-        f"{desc}: {'PASS' if ok else 'FAIL'}" for desc, ok in checks) + ".\n")
-    return "\n".join(lines)
-
-
-def section_ipc_stacks(commits: int) -> str:
-    cfg = default_config(num_threads=2)
-    rows = []
-    for policy in ("icount", "flush", "mlp_flush"):
-        r = evaluate_workload(("mcf", "galgel"), cfg, policy, commits)
-        rows.append((policy, f"{r.ipcs[0]:.3f}", f"{r.ipcs[1]:.3f}",
-                     f"{r.stp:.3f}", f"{r.antt:.3f}"))
-    table = markdown_table(
-        ("policy", "IPC mcf", "IPC galgel", "STP", "ANTT"), rows)
-    return (
-        "## Figures 11/12 — per-thread IPC stacks (mcf–galgel exemplar)\n\n"
-        f"{table}\n\n"
-        "**Paper:** blind flush \"severely affects mcf's performance by "
-        "not exploiting the MLP available\"; MLP-aware flush keeps mcf "
-        "near its ICOUNT speed while galgel improves.  **Shape check:** "
-        "the measured mcf column collapses under flush and recovers "
-        "under mlp_flush, with galgel holding most of its gain.\n")
-
-
-def section_four_thread(commits: int) -> str:
-    cfg = default_config(num_threads=4)
-    cells = compare_policies(FOUR_THREAD_SET, MAIN_COMPARISON, cfg, commits)
-    summary = summarize_policies(cells, FOUR_THREAD_SET, MAIN_COMPARISON)
-    table = markdown_table(
-        ("policy", "STP", "ANTT", "dSTP vs icount", "dANTT vs icount"),
-        _summary_rows(summary))
-    head = paper_data.FOUR_THREAD_HEADLINES
-    return (
-        "## Figures 13/14 — four-thread workloads\n\n"
-        f"{table}\n\n"
-        f"**Paper:** mlp_flush ANTT {head[('ALL', 'icount')][1]:.1%} "
-        f"better than ICOUNT and {head[('ALL', 'flush')][1]:.1%} better "
-        "than flush; STP ≈ flush, ≈16% over ICOUNT.  **Shape check:** "
-        "the *ordering* carries over — mlp_flush posts the best ANTT and "
-        "top-tier STP at four threads.  The *margins* over ICOUNT come "
-        "out larger here than in the paper: the quick four-thread subset "
-        "is memory-heavy, and four threads fighting over one shared "
-        "256-entry ROB make ICOUNT's clogging worse on this machine than "
-        "on the paper's full 30-mix average (which includes many "
-        "ILP-dominated mixes that dilute the deltas).\n")
-
-
-def section_sweeps(commits: int) -> str:
-    policies = ("icount", "flush", "mlp_flush")
-    lines = ["## Figures 15/16 and 17/18 — microarchitecture sweeps\n"]
-    mem = memory_latency_sweep(SWEEP_WORKLOADS, policies,
-                               max_commits=commits)
-    rows = [(str(lat), *[f"{s[p][0]:.3f}" for p in policies],
-             *[f"{s[p][1]:.3f}" for p in policies])
-            for lat, s in mem.items()]
-    lines.append("### Memory latency (Figures 15/16)\n")
-    lines.append(markdown_table(
-        ("latency", *[f"STP {p}" for p in policies],
-         *[f"ANTT {p}" for p in policies]), rows))
-    win = window_size_sweep(SWEEP_WORKLOADS, policies, max_commits=commits)
-    rows = [(str(rob), *[f"{s[p][0]:.3f}" for p in policies],
-             *[f"{s[p][1]:.3f}" for p in policies])
-            for rob, s in win.items()]
-    lines.append("\n### Window size (Figures 17/18)\n")
-    lines.append(markdown_table(
-        ("ROB", *[f"STP {p}" for p in policies],
-         *[f"ANTT {p}" for p in policies]), rows))
-    lines.append(
-        "\nAll values are **relative to ICOUNT at the same design "
-        "point**.\n\n"
-        f"**Paper trends:** memlat — {paper_data.SWEEP_TRENDS['memlat']}; "
-        f"window — {paper_data.SWEEP_TRENDS['window']}.  "
-        "**Shape check:** the mlp_flush columns drift up (STP) and down "
-        "(ANTT) as latency and window grow, matching both trends.\n")
-    return "\n".join(lines)
-
-
-def section_alternatives(commits: int) -> str:
-    cfg = default_config(num_threads=2)
-    workloads = TWO_THREAD_GROUPS["MLP"]
-    cells = compare_policies(workloads, ALTERNATIVES, cfg, commits)
-    summary = summarize_policies(cells, workloads, ALTERNATIVES)
-    table = markdown_table(
-        ("policy", "STP", "ANTT"),
-        [(p, f"{s:.3f}", f"{a:.3f}") for p, (s, a) in summary.items()])
-    return (
-        "## Figures 20/21 — alternative MLP-aware fetch policies\n\n"
-        "Policies (a)–(e) of Section 6.5 on the MLP-intensive mixes:\n\n"
-        f"{table}\n\n"
-        "**Paper:** distance prediction (b) beats binary prediction (c); "
-        "for flush-at-resource-stall, (d) beats (e); (d) edges (b) on "
-        "MLP-heavy pairs, (b) wins on mixed pairs.  **Shape check:** the "
-        "measured ordering of (b) vs (c) and (d) vs (e) matches; see "
-        "`benchmarks/bench_fig20_21_alternatives.py` for the per-class "
-        "detail.\n")
-
-
-def section_partitioning(commits: int) -> str:
-    cfg = default_config(num_threads=2)
-    workloads = TWO_THREAD_GROUPS["MLP"]
-    policies = ("icount", "static", "dcra", "mlp_flush")
-    cells = compare_policies(workloads, policies, cfg, commits)
-    summary = summarize_policies(cells, workloads, policies)
-    table = markdown_table(
-        ("policy", "STP", "ANTT"),
-        [(p, f"{s:.3f}", f"{a:.3f}") for p, (s, a) in summary.items()])
-    pd = paper_data.PARTITIONING_HEADLINES
-    return (
-        "## Figures 22/23 — vs. static partitioning and DCRA\n\n"
-        f"{table}\n\n"
-        f"**Paper:** mlp_flush beats DCRA by "
-        f"{pd['mlpflush_better_mem_antt']:.1%} ANTT on memory-intensive "
-        "2-thread mixes (8.5% at four threads) with comparable or "
-        "slightly better STP; DCRA wins ILP mixes by ~3%.  **Shape "
-        "check — with a recorded deviation:** static partitioning and "
-        "ICOUNT trail every dynamic scheme, as published.  The "
-        "DCRA-vs-mlp_flush margin, however, comes out slightly in "
-        "DCRA's favour here — the paper's 5.4% edge does not survive "
-        "the substrate change.  On these symmetric synthetic pairs a "
-        "fixed 2x slow-thread bonus is already near-optimal, and "
-        "mlp_flush pays for the plain LLSR's dependent-load "
-        "overestimation on mcf (the paper's own §4.2 caveat); the "
-        "two schemes sit within the run-to-run noise band of this "
-        "simulator.\n")
-
-
-# --------------------------------------------------------------------- #
-# document assembly
-# --------------------------------------------------------------------- #
-
-SECTIONS = (
-    section_table1,
-    section_fig4,
-    section_fig5,
-    section_predictors,
-    section_two_thread,
-    section_ipc_stacks,
-    section_four_thread,
-    section_sweeps,
-    section_alternatives,
-    section_partitioning,
-)
+from repro.experiments import claims
 
 PREAMBLE = """\
-# EXPERIMENTS — paper vs. measured
+# Paper vs. measured
 
-Every table and figure of the paper's evaluation, regenerated on this
-repository's simulator and synthetic SPEC CPU2000 analogs, next to the
-published values.  **Absolute numbers are not expected to match** — the
-paper ran 200M-instruction SimPoints of Alpha SPEC binaries on SMTSIM;
-this repository runs calibrated synthetic analogs on a 16x-scaled memory
-hierarchy for a few thousand instructions per thread.  What must match,
-and what each section's *shape check* verifies, is the paper's argument:
-who wins, in which workload class, and how the gap moves with the
-microarchitecture.
+Every table and figure of the paper's evaluation, plus the ablations and
+extensions beyond it, regenerated on this repository's simulator and
+synthetic SPEC CPU2000 analogs.  **Absolute numbers are not expected to
+match** — the paper ran 200M-instruction SimPoints of Alpha SPEC binaries
+on SMTSIM; this repository runs calibrated synthetic analogs on a
+16x-scaled memory hierarchy for tens of thousands of instructions per
+thread.  What must match is the paper's argument: who wins, in which
+workload class, and how the gap moves with the microarchitecture.  Each
+section's checks are computed from its own measurement.
 
 Regeneration:
 
 ```
-python -m repro.experiments.report [commits] [path]     # this document
-pytest benchmarks/ --benchmark-only                     # per-figure detail
-python -m repro figure <table1|fig5|fig9|fig15|fig17|fig20|fig22>
+python -m repro.experiments.report [commits] [path]   # this document
+python -m repro figure <id> [budget]                  # one section
+python -m pytest benchmarks/ -q                       # assert every check
 ```
-
-The extension experiments beyond the paper (runahead threads, MLP-gated
-runahead, DG/PDG, learning-based partitioning, MLP-aware DCRA, CGMT
-switching, dependence-aware LLSR, predictor/LLSR-length ablations) are
-covered by `benchmarks/bench_ext_*.py` and `benchmarks/bench_ablation_*.py`
-and summarized at the end of this document.
-"""
-
-EXTENSIONS_NOTE = """\
-## Extensions beyond the paper (summary)
-
-| experiment | bench | headline observation |
-| --- | --- | --- |
-| Runahead threads (Ramirez et al. 2008) | `bench_ext_runahead.py` | runahead clearly beats flush-family STP/ANTT on MLP mixes — it frees resources *and* prefetches |
-| MLP-gated runahead (paper §7.2 future work) | `bench_ext_runahead.py` | the hybrid matches or beats plain runahead; short-distance misses take the cheaper flush path, and thresholds 8–32 form a plateau (`examples/runahead_hybrid.py`) |
-| DG/PDG miss gating (El-Moursy & Albonesi) | `bench_ext_partitioning.py` | a 2-miss gate is surprisingly strong on symmetric MLP+MLP pairs, but cannot open the window for long-distance programs |
-| Learning-based partitioning (Choi & Yeung) | `bench_ext_partitioning.py` | trails all event-driven schemes at these timescales — the paper's responsiveness argument, reproduced |
-| MLP-aware DCRA (paper §7.2 future work) | `bench_ext_partitioning.py` | distance-scaled slow-thread bonus improves DCRA's ANTT on MLP mixes |
-| MLP-aware CGMT switching (paper §7.3) | `bench_ext_cgmt.py` | switching at the burst's last miss cuts squashed work on every mix; IPC gains when the window is short relative to the quantum |
-| Dependence-aware LLSR (paper §4.2 future work) | `bench_ablation_dependence_llsr.py` | suppresses dependent chase misses; rescues the co-runner when the plain LLSR is fooled by serial miss chains (`examples/custom_benchmark.py`) |
-| LLL predictor design (paper §4.1) | `bench_ablation_predictors.py` | miss-pattern ≥ last-value/2-bit, as the paper concluded |
-| LLSR length | `bench_ablation_llsr_length.py` | longer registers keep finding more-distant MLP for mcf-like programs; distance ≤ length always |
-| Squash semantics | `bench_ablation_squash_semantics.py` | with fill-survives squashes, blind flush closes much of the gap — the paper's contrast depends on era-accurate squash behaviour |
 """
 
 
-def generate(commits: int | None = None, path: str = "EXPERIMENTS.md",
-             progress=print) -> str:
-    """Run every experiment and write the document; returns the text."""
-    # The default must clear the slow-thread bootstrap scale (see
-    # benchmarks/bench_common.py): below ~16K commits, extreme
-    # speed-asymmetric pairs measure only their cold-start transient.
-    if commits is None:
-        commits = default_commits(20_000)
-    parts = [PREAMBLE,
-             f"\n*Generated with `commits={commits}` per thread "
-             f"(wall-clock scale knob; see `repro.experiments.defaults`).*\n"]
-    for section in SECTIONS:
+def render_section(outcome: claims.Outcome) -> str:
+    entry = outcome.entry
+    return (f"## {entry.title}\n\n"
+            f"`repro figure {entry.id}` at {outcome.budget} "
+            f"instructions/thread.\n\n"
+            f"```text\n{outcome.text}\n```\n\n"
+            f"```text\n{claims.format_checks(outcome.checks)}\n```\n")
+
+
+def generate(commits: int | None = None, progress=None) -> str:
+    """Run every entry of the claims table; returns the document."""
+    parts = [PREAMBLE]
+    for entry in claims.ENTRIES:
         start = time.time()
-        clear_baseline_cache(disk=False)
-        parts.append(section(commits))
+        parts.append(render_section(entry.run(commits)))
         if progress is not None:
-            progress(f"  {section.__name__}: {time.time() - start:.1f}s")
-    parts.append(EXTENSIONS_NOTE)
-    text = "\n".join(parts)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+            progress(f"  {entry.id}: {time.time() - start:.1f}s")
+    return "\n".join(parts)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     commits = int(argv[0]) if argv else None
-    path = argv[1] if len(argv) > 1 else "EXPERIMENTS.md"
-    generate(commits, path)
-    print(f"wrote {path}")
+    text = generate(commits,
+                    progress=lambda line: print(line, file=sys.stderr))
+    if len(argv) > 1:
+        with open(argv[1], "w") as fh:
+            fh.write(text)
+        print(f"wrote {argv[1]}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

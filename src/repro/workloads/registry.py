@@ -3,8 +3,9 @@
 ``TABLE_I`` records the paper's published characterization (long-latency
 loads per 1K instructions, MLP, MLP impact, ILP/MLP class) for each
 benchmark; the specs below are tuned so the simulated analogs land close to
-those targets on the baseline processor.  The calibration evidence lives in
-``benchmarks/bench_table1_fig1.py`` and EXPERIMENTS.md.
+those targets on the baseline processor.  The calibration evidence is the
+``table1`` entry of :mod:`repro.experiments.claims` (``repro figure
+table1``).
 
 Design notes per class of benchmark:
 

@@ -30,7 +30,7 @@ def _isolated_result_store(tmp_path_factory):
     Keeps the suite hermetic in both directions: tests never touch the
     user's ``~/.cache/repro``, and ambient ``REPRO_CACHE=0`` /
     ``REPRO_JOBS`` settings can't flip the behaviors the tests assert.
-    Shares its save/apply/restore logic with benchmarks/conftest.py via
+    Shares its save/apply/restore logic with benchmarks/test_claims.py via
     :mod:`repro.testing`.
     """
     with isolated_result_store(str(tmp_path_factory.mktemp("repro-cache"))):
